@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .coherence import CoherenceProfile
-from .levels import LevelStructure, SparsityPattern
+from .levels import LevelStructure, SparsityPattern, enumerate_supports
 from .operators import (
     dft_matrix,
     fourier_haar_matrix,
@@ -34,7 +34,7 @@ from .recovery import (
     inverse_sqrt_level_weights,
     solve_qcbp,
 )
-from .ripl import certify_recovery, ricl_exact, ripl_threshold
+from .ripl import certify_recovery, ripl_threshold
 from .sampling import (
     allocate_haar,
     allocate_uniform,
@@ -240,12 +240,14 @@ def cmd_certify(args):
     }
     write_json(out / "certification.json", payload)
     if per_support and report.method == "exact":
-        detail = ricl_exact(
-            op, report.doubled_pattern, max_supports=max_supports, collect_per_support=True
+        spectra = zip(
+            enumerate_supports(report.doubled_pattern, exact_counts=True),
+            report.ricl.lam_min.tolist(),
+            report.ricl.lam_max.tolist(),
         )
         rows = [
             (";".join(str(i) for i in sup.indices), lmin, lmax, max(lmax - 1.0, 1.0 - lmin))
-            for sup, lmin, lmax in detail.per_support
+            for sup, lmin, lmax in spectra
         ]
         write_table(
             out / f"per_support.{args.format}",

@@ -18,9 +18,7 @@ and a seeded multi-trial recovery experiment harness.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,23 +38,6 @@ __all__ = [
     "level_weight_vector",
     "inverse_sqrt_level_weights",
 ]
-
-
-def thread_count():
-    """Worker cap from RIPL_LAB_THREADS (default 1, minimum 1)."""
-    raw = os.environ.get("RIPL_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = thread_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def level_weight_vector(levels, weights):
@@ -342,8 +323,7 @@ def _run_recovery_trials(make_matrix, pattern, trials, seed, eta, radius, weight
     sparsity_levels = pattern.levels
     ball_radius = float(radius) if radius is not None else float(eta)
 
-    def run_trial(arg):
-        index, child = arg
+    def run_trial(index, child):
         matrix_ss, x_ss, noise_ss = child.spawn(3)
         a, m_record = make_matrix(matrix_ss)
         x = random_sparse_vector(pattern, np.random.default_rng(x_ss), magnitude_model)
@@ -376,8 +356,7 @@ def _run_recovery_trials(make_matrix, pattern, trials, seed, eta, radius, weight
             "bound_ratio_l2": metrics["bound_ratio_l2"],
         }
 
-    records = _map_ordered(run_trial, list(enumerate(children)))
-    records.sort(key=lambda rec: rec["trial"])
+    records = [run_trial(index, child) for index, child in enumerate(children)]
     rate = sum(1 for rec in records if rec["success"]) / trials
     return ExperimentResult(
         success_rate=rate,

@@ -15,13 +15,13 @@ combining the two.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobi import extremal_eigenvalues
 from .levels import (
     SparsityPattern,
     SupportSet,
@@ -40,6 +40,10 @@ __all__ = [
     "ripl_threshold",
     "certify_recovery",
 ]
+
+
+# supports per eigvalsh call: bounds the Gram stack held in memory
+_CHUNK = 4096
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -62,6 +66,8 @@ class RiclReport:
     For the exact method ``delta`` is attained by ``witness_support``;
     for the Monte-Carlo method ``delta`` is a lower bound on the exact
     value and ``witness_vector`` is the best sampled direction.
+    ``lam_min`` and ``lam_max`` are the exact method's per-support
+    extremal eigenvalues, in enumeration order.
     """
 
     delta: float
@@ -70,7 +76,9 @@ class RiclReport:
     witness_support: SupportSet | None = None
     witness_vector: np.ndarray | None = None
     supports_examined: int = 0
-    per_support: tuple = ()
+    # kept out of ==, hash and repr so exact reports stay comparable and hashable
+    lam_min: np.ndarray | None = field(default=None, compare=False, repr=False)
+    lam_max: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self):
         d = {
@@ -87,14 +95,16 @@ class RiclReport:
         return d
 
 
-def ricl_exact(a, pattern, max_supports=10**6, batch_size=4096, collect_per_support=False):
+def ricl_exact(a, pattern, max_supports=10**6):
     """Exact restricted isometry constant in levels by enumeration.
 
     Enumerates every support with exactly s_k indices per level (which
     suffices, see module docstring), computes the extremal eigenvalues
-    of each Gram submatrix with the batched Jacobi kernel, and maximizes
-    max(lambda_max - 1, 1 - lambda_min).  Ties go to the support that
-    comes first in the lexicographic enumeration.  Raises
+    of each Gram submatrix with LAPACK (``np.linalg.eigvalsh``, one call
+    per chunk of supports), and maximizes max(lambda_max - 1,
+    1 - lambda_min).  Ties go to the support that comes first in the
+    lexicographic enumeration.  ``lam_min`` and ``lam_max`` of the report
+    hold every support's extremes in that order.  Raises
     :class:`EnumerationBudgetError` when the support count exceeds
     ``max_supports``.
     """
@@ -109,42 +119,29 @@ def ricl_exact(a, pattern, max_supports=10**6, batch_size=4096, collect_per_supp
             f"{n_supports} supports exceed the budget {max_supports}"
         )
     gram = mat.conj().T @ mat
-    size = pattern.total
-    if size == 0:
+    if pattern.total == 0:
         empty = SupportSet((), tuple(0 for _ in pattern.s))
-        return RiclReport(0.0, "exact-enumeration", pattern, empty, None, 1)
+        return RiclReport(0.0, "exact-enumeration", pattern, empty, None, 1,
+                          np.empty(0), np.empty(0))
 
+    lam_min = np.empty(n_supports)
+    lam_max = np.empty(n_supports)
     best = -math.inf
     best_support = None
-    per_support = [] if collect_per_support else None
     examined = 0
-    chunk_supports = []
-    chunk_grams = np.empty((batch_size, size, size), dtype=np.complex128)
-
-    def flush():
-        nonlocal best, best_support, examined
-        count = len(chunk_supports)
-        if count == 0:
-            return
-        lam_min, lam_max = extremal_eigenvalues(chunk_grams[:count])
-        deltas = np.maximum(lam_max - 1.0, 1.0 - lam_min)
-        if per_support is not None:
-            for sup, lmin, lmax in zip(chunk_supports, lam_min, lam_max):
-                per_support.append((sup, float(lmin), float(lmax)))
+    supports = enumerate_supports(pattern, exact_counts=True)
+    while chunk := list(itertools.islice(supports, _CHUNK)):
+        idx = np.array([sup.indices for sup in chunk], dtype=np.intp) - 1
+        vals = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        stop = examined + len(chunk)
+        lam_min[examined:stop] = vals[:, 0]
+        lam_max[examined:stop] = vals[:, -1]
+        deltas = np.maximum(vals[:, -1] - 1.0, 1.0 - vals[:, 0])
         j = int(np.argmax(deltas))
         if deltas[j] > best:
             best = float(deltas[j])
-            best_support = chunk_supports[j]
-        examined += count
-        chunk_supports.clear()
-
-    for support in enumerate_supports(pattern, exact_counts=True):
-        idx = np.asarray(support.indices, dtype=np.intp) - 1
-        chunk_grams[len(chunk_supports)] = gram[np.ix_(idx, idx)]
-        chunk_supports.append(support)
-        if len(chunk_supports) == batch_size:
-            flush()
-    flush()
+            best_support = chunk[j]
+        examined = stop
 
     return RiclReport(
         delta=max(best, 0.0),
@@ -152,7 +149,8 @@ def ricl_exact(a, pattern, max_supports=10**6, batch_size=4096, collect_per_supp
         pattern=pattern,
         witness_support=best_support,
         supports_examined=examined,
-        per_support=tuple(per_support) if per_support is not None else (),
+        lam_min=lam_min,
+        lam_max=lam_max,
     )
 
 

@@ -100,8 +100,10 @@ class SamplingScheme:
 
 
 def _as_seed_sequence(seed):
+    """A fresh SeedSequence: spawning from it never advances the caller's."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size)
     return np.random.SeedSequence(int(seed))
 
 

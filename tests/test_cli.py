@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ripl_lab import LevelStructure, SparsityPattern, enumerate_supports
 from ripl_lab.cli import main
 
 
@@ -53,8 +54,23 @@ def test_certify_command_and_replay(tmp_path, capsys):
     assert _dir_bytes(out1) == _dir_bytes(out2)
     report = json.loads((out1 / "certification.json").read_text())
     assert report["report"]["verdict"] == "sufficient"
-    assert (out1 / "per_support.csv").exists()
     assert "verdict = sufficient" in capsys.readouterr().out
+    ricl = report["report"]["ricl"]
+    doubled = SparsityPattern(
+        LevelStructure(tuple(report["config"]["sparsity_boundaries"])),
+        tuple(report["report"]["doubled_s"]),
+    )
+    rows = [row.split(",") for row in
+            (out1 / "per_support.csv").read_text().strip().splitlines()[1:]]
+    assert len(rows) == ricl["supports_examined"]
+    assert [row[0] for row in rows] == [
+        ";".join(map(str, sup.indices)) for sup in enumerate_supports(doubled, exact_counts=True)
+    ]
+    deltas = [float(row[3]) for row in rows]
+    assert max(deltas) == pytest.approx(report["report"]["delta"], abs=1e-12)
+    witness = ";".join(map(str, ricl["witness_support"]))
+    assert float(rows[[row[0] for row in rows].index(witness)][3]) == pytest.approx(
+        report["report"]["delta"], abs=1e-12)
 
 
 def test_certify_requires_seed(tmp_path, capsys):

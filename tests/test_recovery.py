@@ -181,16 +181,6 @@ def test_experiment_noise_mode_respects_radius():
     assert all(rec["err2"] <= 10 * eta for rec in res.records)
 
 
-def test_experiment_thread_pool_replays_identically(monkeypatch):
-    u, layout = fourier_haar_matrix(8)
-    lv = layout.sampling_levels()
-    pattern = SparsityPattern(lv, (1, 1, 1))
-    serial = exact_recovery_experiment(u, lv, (2, 2, 2), 2, pattern, 6, seed=31)
-    monkeypatch.setenv("RIPL_LAB_THREADS", "3")
-    threaded = exact_recovery_experiment(u, lv, (2, 2, 2), 2, pattern, 6, seed=31)
-    assert serial.records == threaded.records
-
-
 def test_gaussian_experiment_shares_trial_signals():
     lv = LevelStructure((0, 4, 16))
     pattern = SparsityPattern(lv, (1, 1))

@@ -18,7 +18,6 @@ from ripl_lab import (
     ricl_monte_carlo,
     ripl_threshold,
 )
-from ripl_lab.jacobi import extremal_eigenvalues
 
 
 def test_threshold_reference_values():
@@ -86,9 +85,41 @@ def test_ricl_exact_count_enumeration_matches_all_counts():
             if not sup.indices:
                 continue
             idx = np.asarray(sup.indices, dtype=int) - 1
-            lmin, lmax = extremal_eigenvalues(gram[np.ix_(idx, idx)])
+            vals = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
+            lmin, lmax = vals[0], vals[-1]
             worst = max(worst, lmax - 1.0, 1.0 - lmin)
         assert rep.delta == pytest.approx(worst, abs=1e-10)
+
+
+def test_ricl_exact_known_spectrum():
+    # A* A = Q diag(spectrum) Q*, one level with s = n: delta = max(1.9 - 1, 1 - 0.2)
+    rng = np.random.default_rng(8)
+    spectrum = np.array([0.2, 0.5, 1.0, 1.3, 1.9])
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    a = np.diag(np.sqrt(spectrum)) @ q.conj().T
+    rep = ricl_exact(a, SparsityPattern(LevelStructure((0, 5)), (5,)))
+    assert rep.delta == pytest.approx(0.9, abs=1e-12)
+    assert rep.lam_min[0] == pytest.approx(0.2, abs=1e-12)
+    assert rep.lam_max[0] == pytest.approx(1.9, abs=1e-12)
+
+
+def test_ricl_exact_one_by_one():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    rep = ricl_exact(a, SparsityPattern(LevelStructure((0, 6)), (1,)))
+    norms2 = np.sum(np.abs(a) ** 2, axis=0)
+    assert rep.delta == pytest.approx(np.max(np.abs(norms2 - 1.0)), abs=1e-12)
+    assert np.allclose(rep.lam_min, norms2, atol=1e-12)
+    assert np.array_equal(rep.lam_min, rep.lam_max)
+
+
+def test_ricl_exact_complex_phase():
+    # Gram [[1, 1j], [-1j, 1]] has eigenvalues {0, 2}
+    a = np.array([[1.0, 1j], [0.0, 0.0]])
+    rep = ricl_exact(a, SparsityPattern(LevelStructure((0, 2)), (2,)))
+    assert rep.delta == pytest.approx(1.0, abs=1e-12)
+    assert rep.lam_min[0] == pytest.approx(0.0, abs=1e-12)
+    assert rep.lam_max[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ricl_exact_monotone_in_budgets():

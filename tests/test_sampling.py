@@ -17,7 +17,9 @@ from ripl_lab import (
     draw_scheme,
     fourier_haar_matrix,
     haar_interference_weights,
+    ricl_monte_carlo,
 )
+from ripl_lab.recovery import exact_recovery_experiment, gaussian_recovery_experiment
 
 
 def test_saturated_level_draws_in_order():
@@ -52,6 +54,32 @@ def test_draw_scheme_deterministic_and_level_independent():
     # level 3 stream does not depend on level 2's count
     s3 = draw_scheme(lv, (2, 9, 4), r0=1, seed=512)
     assert s3.draws[2] == s1.draws[2]
+
+
+def _seeded_runs():
+    u, layout = fourier_haar_matrix(8)
+    lv = layout.sampling_levels()
+    pattern = SparsityPattern(lv, (1, 1, 1))
+    op = build_measurement(u, draw_scheme(lv, (2, 2, 2), r0=2, seed=0))
+    return {
+        "draw_scheme": lambda ss: draw_scheme(lv, (2, 2, 3), r0=1, seed=ss),
+        "ricl_monte_carlo": lambda ss: ricl_monte_carlo(op, pattern, 20, seed=ss).delta,
+        "exact_recovery_experiment": lambda ss: exact_recovery_experiment(
+            u, lv, (2, 2, 3), 2, pattern, 2, seed=ss).records,
+        "gaussian_recovery_experiment": lambda ss: gaussian_recovery_experiment(
+            8, 6, pattern, 2, seed=ss).records,
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "draw_scheme", "ricl_monte_carlo", "exact_recovery_experiment",
+    "gaussian_recovery_experiment",
+])
+def test_same_seed_sequence_object_replays(name):
+    # spawning from a passed SeedSequence must not advance the caller's object
+    run = _seeded_runs()[name]
+    ss = np.random.SeedSequence(2024)
+    assert run(ss) == run(ss)
 
 
 def test_draw_scheme_errors():

@@ -36,6 +36,7 @@ from .recovery import (
 )
 from .ripl import certify_recovery, ripl_threshold
 from .sampling import (
+    _check_counts,
     allocate_haar,
     allocate_uniform,
     build_measurement,
@@ -319,6 +320,7 @@ def cmd_recover(args):
         )
     else:
         m, alloc = _resolve_m(config, pattern, r0)
+        m = _check_counts(sampling, m, r0)
         k_factor = max(w / mk for w, mk in zip(sampling.widths, m))
         radius = eta * math.sqrt(k_factor) if noise_scaling == "sqrtK" else eta
         result = exact_recovery_experiment(
@@ -384,8 +386,7 @@ def cmd_allocate(args):
     r0 = int(config.get("r0", 0))
     modes = list(config.get("modes", ["haar-uniform", "haar-nonuniform"]))
 
-    r = len(s)
-    levels = LevelStructure((0,) + tuple(2**k for k in range(1, r + 1)))
+    levels = LevelStructure.dyadic(len(s))
     pattern = SparsityPattern(levels, s)
     results = {}
     for mode in modes:
@@ -423,7 +424,7 @@ def cmd_allocate(args):
         if mode in kernels:
             header.append(f"kernel[{mode}]")
     rows = []
-    for k in range(r):
+    for k in range(levels.r):
         row = [k + 1, levels.widths[k], s[k]]
         for mode in modes:
             res = results[mode]

@@ -115,6 +115,11 @@ class LevelStructure:
     def single_level(cls, n):
         return cls((0, int(n)))
 
+    @classmethod
+    def dyadic(cls, r):
+        """The r dyadic levels of N = 2^r, boundaries (0, 2, 4, ..., 2^r)."""
+        return cls((0,) + tuple(2**k for k in range(1, int(r) + 1)))
+
 
 @dataclass(frozen=True)
 class SparsityPattern:

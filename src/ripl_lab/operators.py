@@ -73,8 +73,7 @@ class BandLayout:
     row_permutation: np.ndarray
 
     def sampling_levels(self):
-        r = self.n.bit_length() - 1
-        return LevelStructure((0,) + tuple(2**k for k in range(1, r + 1)))
+        return LevelStructure.dyadic(self.n.bit_length() - 1)
 
     def to_dict(self):
         return {

@@ -6,10 +6,11 @@ step is a coordinate-wise complex soft-threshold (shrinking the modulus,
 preserving the phase, with level weights), the dual step is the
 projection onto the eta-ball around y (which degenerates to the affine
 projection onto {u : u = y} when eta = 0, so one code path covers both).
-Step sizes come from a power-iteration estimate of ||A||.  Optimality is
-certified with a duality-gap estimate: a rescaled copy of the dual
-iterate is always dual-feasible, so objective - dual value bounds the
-suboptimality from above.
+Step sizes come from the exact spectral norm ||A|| (LAPACK SVD), so the
+step condition sigma tau ||A||^2 < 1 holds.  Optimality is certified
+with a duality-gap estimate: a rescaled copy of the dual iterate is
+always dual-feasible, so objective - dual value bounds the suboptimality
+from above.
 
 Also provides error metrics against the level-sparse approximation
 bounds (diagnostic ratios: the bounds hold up to unspecified constants)
@@ -127,23 +128,6 @@ class SolveResult:
         }
 
 
-def _operator_norm(a, iters=100):
-    gram = a.conj().T @ a
-    n = a.shape[1]
-    v = np.ones(n, dtype=np.complex128) / math.sqrt(n)
-    v += np.arange(n) * (1e-6 / max(n, 1))  # break symmetry against flat eigvecs
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam = float(np.real(np.vdot(v, gram @ v)))
-    return math.sqrt(max(lam, 0.0))
-
-
 def _soft_threshold(z, thresh):
     mag = np.abs(z)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -174,7 +158,7 @@ def solve_qcbp(problem, max_iters=50000, primal_tol=1e-7, feasibility_tol=1e-9,
     m, n = a.shape
     a_h = a.conj().T
 
-    norm_a = _operator_norm(a)
+    norm_a = float(np.linalg.norm(a, 2))
     if norm_a == 0.0:
         # zero operator: any z is feasible iff ||y|| <= eta; minimum is 0
         xhat = np.zeros(n, dtype=np.complex128)

@@ -107,14 +107,11 @@ def _as_seed_sequence(seed):
     return np.random.SeedSequence(int(seed))
 
 
-def draw_scheme(levels, m, r0=0, seed=0, allow_empty=False):
-    """Draw an (N, m)-multilevel scheme, saturating the first r0 levels.
+def _check_counts(levels, m, r0=0, allow_empty=False):
+    """Validate per-level sample counts against the levels and r0.
 
-    Levels 1..r0 take every index of their range deterministically and
-    must be requested at full width; levels above r0 draw m_k indices
-    i.i.d. uniformly with replacement.  Each level consumes an
-    independently derived random stream, so the draws for level k do not
-    depend on the other levels' counts.
+    Levels 1..r0 must be requested at full width; the others need
+    m_k >= 1 (m_k = 0 only with ``allow_empty``).  Returns m as ints.
     """
     m = tuple(int(v) for v in m)
     if len(m) != levels.r:
@@ -133,7 +130,19 @@ def draw_scheme(levels, m, r0=0, seed=0, allow_empty=False):
             raise LevelError(f"level {k}: m_k must be >= 1 (or pass allow_empty)")
         if m[k - 1] < 0:
             raise LevelError(f"level {k}: negative m_k")
+    return m
 
+
+def draw_scheme(levels, m, r0=0, seed=0, allow_empty=False):
+    """Draw an (N, m)-multilevel scheme, saturating the first r0 levels.
+
+    Levels 1..r0 take every index of their range deterministically and
+    must be requested at full width; levels above r0 draw m_k indices
+    i.i.d. uniformly with replacement.  Each level consumes an
+    independently derived random stream, so the draws for level k do not
+    depend on the other levels' counts.
+    """
+    m = _check_counts(levels, m, r0, allow_empty)
     ss = _as_seed_sequence(seed)
     streams = ss.spawn(levels.r)
     draws = []
@@ -385,11 +394,6 @@ def haar_interference_weights(s, mode="uniform", r0=0):
     return tuple(weights)
 
 
-def _dyadic_sparsity_levels(s):
-    r = len(s)
-    return LevelStructure((0,) + tuple(2**k for k in range(1, r + 1)))
-
-
 def allocate_haar(s, delta, eps, c, r0=0, mode="uniform"):
     """Per-band Fourier sample counts for the Fourier--Haar system.
 
@@ -409,13 +413,13 @@ def allocate_haar(s, delta, eps, c, r0=0, mode="uniform"):
     pattern = s if isinstance(s, SparsityPattern) else None
     if pattern is not None:
         levels = pattern.levels
-        expected = _dyadic_sparsity_levels(pattern.s)
+        expected = LevelStructure.dyadic(len(pattern.s))
         if levels.boundaries != expected.boundaries:
             raise LevelError("Fourier--Haar allocation needs dyadic levels N_k = 2^k")
         s = pattern.s
     else:
         s = tuple(int(v) for v in s)
-        levels = _dyadic_sparsity_levels(s)
+        levels = LevelStructure.dyadic(len(s))
         pattern = SparsityPattern(levels, s)
     _check_alloc_params(delta, eps, c)
     r = levels.r

@@ -188,3 +188,13 @@ def test_unknown_operator_fails_cleanly(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", {"operator": "walsh", "N": 8})
     assert main(["coherence", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "unknown operator" in capsys.readouterr().err
+
+
+def test_recover_zero_level_count_fails_cleanly(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, "rec.json",
+        {"operator": "fourier-haar", "N": 16, "m": [2, 2, 0, 4], "s": [1, 1, 1, 1],
+         "trials": 1, "seed": 1},
+    )
+    assert main(["recover", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "level 3: m_k must be >= 1" in capsys.readouterr().err

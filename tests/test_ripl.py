@@ -176,8 +176,12 @@ def test_ricl_monte_carlo_below_exact_fuzzed():
         cut = int(rng.integers(1, n))
         pattern = SparsityPattern(LevelStructure((0, cut, n)), (1, min(1, n - cut)))
         exact = ricl_exact(a, pattern).delta
-        mc = ricl_monte_carlo(a, pattern, trials=40, seed=int(rng.integers(2**31))).delta
+        report = ricl_monte_carlo(a, pattern, trials=40, seed=int(rng.integers(2**31)))
+        mc = report.delta
         assert mc <= exact + 1e-10
+        cols = a[:, np.nonzero(report.witness_vector)[0]]
+        vals = np.linalg.eigvalsh(cols.conj().T @ cols)
+        assert mc >= max(vals[-1] - 1.0, 1.0 - vals[0]) - 1e-12
 
 
 def test_ricl_monte_carlo_close_to_exact_with_many_trials():

@@ -6,12 +6,11 @@ from .levels import (
     LevelError,
     LevelStructure,
     SparsityPattern,
-    SupportSet,
     best_approx_in_levels,
     count_supports,
-    enumerate_supports,
     is_sparse_in_levels,
     random_sparse_vector,
+    support_blocks,
     validate_boundaries,
 )
 from .operators import (

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .coherence import CoherenceProfile
-from .levels import LevelStructure, SparsityPattern, enumerate_supports
+from .levels import LevelStructure, SparsityPattern, support_blocks
 from .operators import (
     dft_matrix,
     fourier_haar_matrix,
@@ -149,7 +149,8 @@ def _ensure_out(args):
 
 def cmd_coherence(args):
     config = load_config(args.config)
-    u, samp_default, spars_default, name = resolve_operator(config, seed=args.seed)
+    seed = args.seed if args.seed is not None else config.get("seed")
+    u, samp_default, spars_default, name = resolve_operator(config, seed=seed)
     sampling = _levels_from(config, "sampling_boundaries", samp_default)
     sparsity = _levels_from(config, "sparsity_boundaries", spars_default)
     profile = CoherenceProfile.from_matrix(u, sampling, sparsity)
@@ -161,6 +162,8 @@ def cmd_coherence(args):
         "sampling_boundaries": list(sampling.boundaries),
         "sparsity_boundaries": list(sparsity.boundaries),
     }
+    if name == "gaussian":  # only the Gaussian operator depends on the seed
+        resolved["seed"] = int(seed)
     digest = config_hash(resolved)
     out = _ensure_out(args)
     write_table(
@@ -241,15 +244,13 @@ def cmd_certify(args):
     }
     write_json(out / "certification.json", payload)
     if per_support and report.method == "exact":
-        spectra = zip(
-            enumerate_supports(report.doubled_pattern, exact_counts=True),
-            report.ricl.lam_min.tolist(),
-            report.ricl.lam_max.tolist(),
+        supports = (
+            ";".join(map(str, row))
+            for block in support_blocks(report.doubled_pattern)
+            for row in (block + 1).tolist()
         )
-        rows = [
-            (";".join(str(i) for i in sup.indices), lmin, lmax, max(lmax - 1.0, 1.0 - lmin))
-            for sup, lmin, lmax in spectra
-        ]
+        spectra = zip(supports, report.ricl.lam_min.tolist(), report.ricl.lam_max.tolist())
+        rows = [(sup, lmin, lmax, max(lmax - 1.0, 1.0 - lmin)) for sup, lmin, lmax in spectra]
         write_table(
             out / f"per_support.{args.format}",
             ("support", "lambda_min", "lambda_max", "delta"),

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .levels import LevelStructure, SparsityPattern, count_supports, enumerate_supports
+from .levels import LevelStructure, SparsityPattern, count_supports, support_blocks
 
 __all__ = [
     "CoherenceProfile",
@@ -119,7 +119,7 @@ class RelativeSparsityReport:
     ``exact`` is True only when the phase grid provably attains the
     maximum (real matrix, +-1 grid); otherwise the values are lower
     bounds from the exhaustive grid search.  ``certificates[k]`` is the
-    (support indices, phase multipliers) pair achieving values[k].
+    (1-based support indices, phase multipliers) pair achieving values[k].
     ``upper_bound`` is the cheap analytic bound
     sum_{i in level k} (sum_l s_l * max_{j in level l} |U_ij|)^2,
     a soft diagnostic bracketing the search from above.
@@ -183,7 +183,7 @@ def relative_sparsity(u, sampling, sparsity, s, phases=2, max_evaluations=10**6)
         raise ValueError("phases must be an even integer >= 2")
 
     total = pattern.total
-    n_supports = count_supports(pattern, exact_counts=True)
+    n_supports = count_supports(pattern)
     n_phase = phases**total
     if n_supports * max(n_phase, 1) > max_evaluations:
         raise SearchBudgetError(
@@ -206,17 +206,16 @@ def relative_sparsity(u, sampling, sparsity, s, phases=2, max_evaluations=10**6)
     level_slices = [sampling.level_slice(k) for k in range(1, r + 1)]
 
     examined = 0
-    for support in enumerate_supports(pattern, exact_counts=True):
+    for idx in (row for chunk in support_blocks(pattern) for row in chunk):
         examined += 1
-        cols = u[:, np.asarray(support.indices, dtype=np.intp) - 1]  # (N, total)
-        e = z_grid @ cols.T  # (P, N)
+        e = z_grid @ u[:, idx].T  # (P, N)
         energy = np.abs(e) ** 2
         for k in range(r):
             block = energy[:, level_slices[k]].sum(axis=1)
             j = int(np.argmax(block))
             if block[j] > best[k]:
                 best[k] = float(block[j])
-                certs[k] = (support.indices, tuple(z_grid[j]))
+                certs[k] = (tuple((idx + 1).tolist()), tuple(z_grid[j]))
 
     exact = bool(np.isrealobj(u) or np.max(np.abs(u.imag)) == 0.0) and phases == 2
     return RelativeSparsityReport(

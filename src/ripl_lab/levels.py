@@ -1,5 +1,5 @@
-"""Level partitions, per-level sparsity budgets, support enumeration and
-best level-sparse approximation.
+"""Level partitions, per-level sparsity budgets, support enumeration as
+0-based index blocks and best level-sparse approximation.
 
 A level structure partitions the index set {1..N} into r contiguous
 levels via a strictly increasing boundary vector (0, B_1, ..., B_r = N);
@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import NamedTuple
+from itertools import combinations
 
 import numpy as np
 
@@ -21,11 +20,10 @@ __all__ = [
     "LevelError",
     "LevelStructure",
     "SparsityPattern",
-    "SupportSet",
     "validate_boundaries",
     "is_sparse_in_levels",
     "best_approx_in_levels",
-    "enumerate_supports",
+    "support_blocks",
     "count_supports",
     "random_sparse_vector",
 ]
@@ -62,8 +60,9 @@ class LevelStructure:
     """Partition of {1..N} into r contiguous levels.
 
     ``boundaries`` includes the leading 0, i.e. (0, B_1, ..., B_r) with
-    B_r = N.  Indices are 1-based in all public interfaces; use
-    :meth:`level_slice` for 0-based numpy slicing.
+    B_r = N.  Indices are 1-based in all public interfaces except the
+    rows of :func:`support_blocks`; use :meth:`level_slice` for 0-based
+    numpy slicing.
     """
 
     boundaries: tuple
@@ -185,13 +184,6 @@ class SparsityPattern:
         return cls(LevelStructure.from_dict(d), tuple(d["s"]))
 
 
-class SupportSet(NamedTuple):
-    """A support Delta within {1..N} with its per-level counts."""
-
-    indices: tuple
-    counts: tuple
-
-
 def _check_length(x, pattern):
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] != pattern.levels.n:
@@ -240,50 +232,36 @@ def best_approx_in_levels(x, pattern):
     return z, sigma
 
 
-def _level_subsets(lo, hi, smax, exact):
-    """Subsets of the 1-based range {lo..hi}, lexicographically ordered."""
-    rng = range(lo, hi + 1)
-    if exact:
-        return list(combinations(rng, smax))
-    subsets = []
-    for c in range(smax + 1):
-        subsets.extend(combinations(rng, c))
-    subsets.sort()
-    return subsets
+# supports per block: bounds the Gram stack a caller gathers from one block
+_CHUNK = 4096
 
 
-def enumerate_supports(pattern, exact_counts=True):
-    """Yield every admissible support, in lexicographic order.
+def support_blocks(pattern):
+    """Yield every support with exactly s_k indices per level, in blocks.
 
-    With ``exact_counts`` each level contributes exactly s_k indices;
-    otherwise all counts <= s_k are enumerated.  The sequence is lazy and
-    duplicate-free; the caller is responsible for bounding consumption
-    (see :func:`count_supports`).
+    Each block is an ``np.intp`` array of shape (rows, s_1 + ... + s_r),
+    rows <= 4,096, whose rows are 0-based column indices in ascending
+    order.  The blocks list the supports in lexicographic order: flat
+    support ids are decoded in mixed radix over the per-level subset
+    counts, last level fastest.  A zero budget contributes one empty
+    pick, so the all-zero pattern yields one (1, 0) block.
     """
-    levels = pattern.levels
-    per_level = []
-    for k in range(1, levels.r + 1):
-        lo, hi = levels.level_range(k)
-        per_level.append(_level_subsets(lo, hi, pattern.s[k - 1], exact_counts))
-
-    def gen():
-        for choice in product(*per_level):
-            indices = tuple(j for part in choice for j in part)
-            counts = tuple(len(part) for part in choice)
-            yield SupportSet(indices, counts)
-
-    return gen()
+    b = pattern.levels.boundaries
+    picks = [
+        np.array(list(combinations(range(lo, hi), sk)), dtype=np.intp)
+        .reshape(math.comb(hi - lo, sk), sk)
+        for lo, hi, sk in zip(b, b[1:], pattern.s)
+    ]
+    radices = tuple(len(p) for p in picks)
+    total = math.prod(radices)
+    for start in range(0, total, _CHUNK):
+        ids = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), radices)
+        yield np.concatenate([p[i] for p, i in zip(picks, ids)], axis=1)
 
 
-def count_supports(pattern, exact_counts=True):
-    """Number of supports :func:`enumerate_supports` would yield."""
-    total = 1
-    for sk, wk in zip(pattern.s, pattern.levels.widths):
-        if exact_counts:
-            total *= math.comb(wk, sk)
-        else:
-            total *= sum(math.comb(wk, c) for c in range(sk + 1))
-    return total
+def count_supports(pattern):
+    """Number of supports :func:`support_blocks` yields."""
+    return math.prod(math.comb(wk, sk) for sk, wk in zip(pattern.s, pattern.levels.widths))
 
 
 def random_sparse_vector(pattern, rng, magnitude_model="unit"):

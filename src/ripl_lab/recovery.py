@@ -92,20 +92,6 @@ class QcbpProblem:
             return np.ones(self.a.shape[1])
         return level_weight_vector(self.levels, self.weights)
 
-    def to_dict(self):
-        from .operators import matrix_content_hash
-
-        d = {
-            "a_hash": matrix_content_hash(self.a),
-            "y_re": self.y.real.tolist(),
-            "y_im": self.y.imag.tolist(),
-            "eta": self.eta,
-        }
-        if self.weights is not None:
-            d["weights"] = [w if math.isfinite(w) else "inf" for w in self.weights]
-            d["boundaries"] = list(self.levels.boundaries)
-        return d
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -115,17 +101,6 @@ class SolveResult:
     iterations: int
     converged: bool
     gap: float
-
-    def to_dict(self):
-        return {
-            "objective": self.objective,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "gap": self.gap,
-            "xhat_re": self.xhat.real.tolist(),
-            "xhat_im": self.xhat.imag.tolist(),
-        }
 
 
 def _soft_threshold(z, thresh):
@@ -283,16 +258,6 @@ class ExperimentResult:
     master_seed: int
     success_rtol: float
     meta: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "success_rate": self.success_rate,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "success_rtol": self.success_rtol,
-            "records": [dict(rec) for rec in self.records],
-            "meta": dict(self.meta),
-        }
 
 
 def _run_recovery_trials(make_matrix, pattern, trials, seed, eta, radius, weights,

@@ -15,20 +15,13 @@ combining the two.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .levels import (
-    SparsityPattern,
-    SupportSet,
-    count_supports,
-    enumerate_supports,
-    random_sparse_vector,
-)
+from .levels import SparsityPattern, count_supports, random_sparse_vector, support_blocks
 from .sampling import MeasurementOperator, _as_seed_sequence
 
 __all__ = [
@@ -40,10 +33,6 @@ __all__ = [
     "ripl_threshold",
     "certify_recovery",
 ]
-
-
-# supports per eigvalsh call: bounds the Gram stack held in memory
-_CHUNK = 4096
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -63,7 +52,8 @@ def _as_matrix(a):
 class RiclReport:
     """Restricted isometry constant with its certificate.
 
-    For the exact method ``delta`` is attained by ``witness_support``;
+    For the exact method ``delta`` is attained by ``witness_support``,
+    a tuple of 1-based indices;
     for the Monte-Carlo method ``delta`` is a lower bound on the exact
     value and ``witness_vector`` is the best sampled direction.
     ``lam_min`` and ``lam_max`` are the exact method's per-support
@@ -73,7 +63,7 @@ class RiclReport:
     delta: float
     method: str
     pattern: SparsityPattern
-    witness_support: SupportSet | None = None
+    witness_support: tuple | None = None
     witness_vector: np.ndarray | None = None
     supports_examined: int = 0
     # kept out of ==, hash and repr so exact reports stay comparable and hashable
@@ -88,7 +78,7 @@ class RiclReport:
             "supports_examined": self.supports_examined,
         }
         if self.witness_support is not None:
-            d["witness_support"] = list(self.witness_support.indices)
+            d["witness_support"] = list(self.witness_support)
         if self.witness_vector is not None:
             d["witness_vector_re"] = self.witness_vector.real.tolist()
             d["witness_vector_im"] = self.witness_vector.imag.tolist()
@@ -101,10 +91,12 @@ def ricl_exact(a, pattern, max_supports=10**6):
     Enumerates every support with exactly s_k indices per level (which
     suffices, see module docstring), computes the extremal eigenvalues
     of each Gram submatrix with LAPACK (``np.linalg.eigvalsh``, one call
-    per chunk of supports), and maximizes max(lambda_max - 1,
-    1 - lambda_min).  Ties go to the support that comes first in the
-    lexicographic enumeration.  ``lam_min`` and ``lam_max`` of the report
-    hold every support's extremes in that order.  Raises
+    per block of :func:`~ripl_lab.levels.support_blocks`, gathered with
+    one fancy index), and maximizes max(lambda_max - 1, 1 - lambda_min).
+    Ties go to the support that comes first in the lexicographic
+    enumeration; ``witness_support`` holds its 1-based indices.
+    ``lam_min`` and ``lam_max`` of the report hold every support's
+    extremes in that order.  Raises
     :class:`EnumerationBudgetError` when the support count exceeds
     ``max_supports``.
     """
@@ -113,15 +105,14 @@ def ricl_exact(a, pattern, max_supports=10**6):
         raise ValueError(
             f"matrix has {mat.shape[1]} columns, pattern lives in dimension {pattern.levels.n}"
         )
-    n_supports = count_supports(pattern, exact_counts=True)
+    n_supports = count_supports(pattern)
     if n_supports > max_supports:
         raise EnumerationBudgetError(
             f"{n_supports} supports exceed the budget {max_supports}"
         )
     gram = mat.conj().T @ mat
     if pattern.total == 0:
-        empty = SupportSet((), tuple(0 for _ in pattern.s))
-        return RiclReport(0.0, "exact-enumeration", pattern, empty, None, 1,
+        return RiclReport(0.0, "exact-enumeration", pattern, (), None, 1,
                           np.empty(0), np.empty(0))
 
     lam_min = np.empty(n_supports)
@@ -129,18 +120,16 @@ def ricl_exact(a, pattern, max_supports=10**6):
     best = -math.inf
     best_support = None
     examined = 0
-    supports = enumerate_supports(pattern, exact_counts=True)
-    while chunk := list(itertools.islice(supports, _CHUNK)):
-        idx = np.array([sup.indices for sup in chunk], dtype=np.intp) - 1
+    for idx in support_blocks(pattern):
         vals = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
-        stop = examined + len(chunk)
+        stop = examined + len(idx)
         lam_min[examined:stop] = vals[:, 0]
         lam_max[examined:stop] = vals[:, -1]
         deltas = np.maximum(vals[:, -1] - 1.0, 1.0 - vals[:, 0])
         j = int(np.argmax(deltas))
         if deltas[j] > best:
             best = float(deltas[j])
-            best_support = chunk[j]
+            best_support = tuple((idx[j] + 1).tolist())
         examined = stop
 
     return RiclReport(
@@ -174,8 +163,7 @@ def ricl_monte_carlo(a, pattern, trials, seed):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if pattern.total == 0:
-        empty = SupportSet((), tuple(0 for _ in pattern.s))
-        return RiclReport(0.0, "monte-carlo", pattern, empty, None, 0)
+        return RiclReport(0.0, "monte-carlo", pattern, (), None, 0)
 
     ss = _as_seed_sequence(seed)
     streams = ss.spawn(trials)
@@ -282,7 +270,7 @@ def certify_recovery(a, pattern, max_supports=10**6, mc_trials=2000, seed=None,
             stacklevel=2,
         )
 
-    if count_supports(doubled, exact_counts=True) <= max_supports:
+    if count_supports(doubled) <= max_supports:
         report = ricl_exact(a, doubled, max_supports=max_supports)
         verdict = "sufficient" if report.delta < threshold else "insufficient"
         method = "exact"

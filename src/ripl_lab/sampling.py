@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import CoherenceProfile
 from .levels import LevelError, LevelStructure, SparsityPattern
-from .operators import matrix_content_hash
 
 __all__ = [
     "SamplingScheme",
@@ -172,36 +171,20 @@ class MeasurementOperator:
     """Row-subsampled isometry with 1/sqrt(p_k) level scalings.
 
     ``k_factor`` is K = max_k (width_k / m_k) over nonempty levels, the
-    worst inverse sampling density.  ``source_hash`` identifies the
-    source isometry by content; the matrix itself is embedded only when
-    requested at build time.
+    worst inverse sampling density.
     """
 
     a: np.ndarray
     scheme: SamplingScheme
     p: tuple
     k_factor: float
-    source_hash: str
-    source: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def shape(self):
         return self.a.shape
 
-    def to_dict(self, embed=False):
-        d = {
-            "scheme": self.scheme.to_dict(),
-            "p": list(self.p),
-            "K": self.k_factor,
-            "source_hash": self.source_hash,
-        }
-        if embed:
-            d["matrix_re"] = self.a.real.tolist()
-            d["matrix_im"] = self.a.imag.tolist()
-        return d
 
-
-def build_measurement(u, scheme, embed_source=False):
+def build_measurement(u, scheme):
     """Assemble the scaled measurement matrix from an isometry and a scheme."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -221,14 +204,7 @@ def build_measurement(u, scheme, embed_source=False):
     a = np.vstack(blocks) if blocks else np.zeros((0, u.shape[1]), dtype=u.dtype)
     nonempty = [wk / mk for mk, wk in zip(scheme.m, scheme.levels.widths) if mk > 0]
     k_factor = max(nonempty) if nonempty else math.inf
-    return MeasurementOperator(
-        a=a,
-        scheme=scheme,
-        p=p,
-        k_factor=float(k_factor),
-        source_hash=matrix_content_hash(u),
-        source=u if embed_source else None,
-    )
+    return MeasurementOperator(a=a, scheme=scheme, p=p, k_factor=float(k_factor))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ replays identically.
 """
 import json
 import math
+from itertools import product
 
 import numpy as np
 
@@ -119,9 +120,9 @@ def test_c06_oracle_equivalence():
         a /= math.sqrt(2 * mrows)
         exact = rl.ricl_exact(a, pattern).delta
         net_best = 0.0
-        for sup in rl.enumerate_supports(pattern, exact_counts=True):
-            cols = a[:, np.asarray(sup.indices, dtype=int) - 1]
-            v = rng.standard_normal((net_points, len(sup.indices)))
+        for idx in np.concatenate(list(rl.support_blocks(pattern))):
+            cols = a[:, idx]
+            v = rng.standard_normal((net_points, len(idx)))
             v = v + 1j * rng.standard_normal(v.shape)
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             vals = np.abs(np.linalg.norm(v @ cols.T, axis=1) ** 2 - 1.0)
@@ -141,10 +142,11 @@ def test_c06_oracle_equivalence():
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         _, sigma = rl.best_approx_in_levels(x, p)
         total = float(np.sum(np.abs(x)))
+        # every support with at most s_k indices per level: all counts c <= s
         brute = min(
-            total - float(np.sum(np.abs(x[np.asarray(sup.indices, dtype=int) - 1])))
-            if sup.indices else total
-            for sup in rl.enumerate_supports(p, exact_counts=False)
+            total - float(np.sum(np.abs(x[idx])))
+            for c in product(*(range(sk + 1) for sk in p.s))
+            for idx in np.concatenate(list(rl.support_blocks(rl.SparsityPattern(ls, c))))
         )
         assert abs(sigma - brute) <= 1e-12
 
@@ -165,10 +167,15 @@ def test_c06_oracle_equivalence():
             ls, tuple(min(sk + 1, w) for sk, w in zip((1, 1), ls.widths))
         )
         best = math.inf
-        for sup in rl.enumerate_supports(generous, exact_counts=False):
-            if not 0 < len(sup.indices) <= mrows:
+        supports = (
+            idx
+            for c in product(*(range(sk + 1) for sk in generous.s))
+            for idx in np.concatenate(list(rl.support_blocks(rl.SparsityPattern(ls, c))))
+        )
+        for idx in supports:
+            if not 0 < len(idx) <= mrows:
                 continue
-            cols = a[:, np.asarray(sup.indices, dtype=int) - 1]
+            cols = a[:, idx]
             z, *_ = np.linalg.lstsq(cols, y, rcond=None)
             if np.linalg.norm(cols @ z - y) <= 1e-9 * max(1.0, float(np.linalg.norm(y))):
                 val = float(np.sum(np.abs(z)))

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from ripl_lab import LevelStructure, SparsityPattern, enumerate_supports
+from ripl_lab import LevelStructure, SparsityPattern, support_blocks
 from ripl_lab.cli import main
 
 
@@ -26,6 +27,19 @@ def test_coherence_command_outputs(tmp_path, capsys):
     assert summary["mu_global"] == pytest.approx(1.0, abs=1e-10)
     assert "config_hash" in summary
     assert "mu_global = " in capsys.readouterr().out
+
+
+def test_coherence_gaussian_seed_from_config_or_flag(tmp_path):
+    cfg = _write_config(tmp_path, "g.json", {"operator": "gaussian", "N": 8, "seed": 3})
+    summaries = {}
+    for seed in (None, 3, 1, 2):
+        out = tmp_path / f"out{seed}"
+        flag = [] if seed is None else ["--seed", str(seed)]
+        assert main(["coherence", "--config", cfg, "--out", str(out), *flag]) == 0
+        summaries[seed] = (out / "coherence_summary.json").read_text()
+    assert summaries[None] == summaries[3]
+    assert json.loads(summaries[1])["config"]["seed"] == 1
+    assert json.loads(summaries[1])["config_hash"] != json.loads(summaries[2])["config_hash"]
 
 
 def test_coherence_dft_constant_table(tmp_path):
@@ -63,9 +77,8 @@ def test_certify_command_and_replay(tmp_path, capsys):
     rows = [row.split(",") for row in
             (out1 / "per_support.csv").read_text().strip().splitlines()[1:]]
     assert len(rows) == ricl["supports_examined"]
-    assert [row[0] for row in rows] == [
-        ";".join(map(str, sup.indices)) for sup in enumerate_supports(doubled, exact_counts=True)
-    ]
+    supports = np.concatenate(list(support_blocks(doubled))) + 1
+    assert [row[0] for row in rows] == [";".join(map(str, idx)) for idx in supports.tolist()]
     deltas = [float(row[3]) for row in rows]
     assert max(deltas) == pytest.approx(report["report"]["delta"], abs=1e-12)
     witness = ";".join(map(str, ricl["witness_support"]))

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from ripl_lab import (
     SparsityPattern,
     best_approx_in_levels,
     count_supports,
-    enumerate_supports,
     is_sparse_in_levels,
     random_sparse_vector,
+    support_blocks,
     validate_boundaries,
 )
 
@@ -138,48 +139,35 @@ def test_best_approx_matches_support_bruteforce():
         p = SparsityPattern(ls, s)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         _, sigma = best_approx_in_levels(x, p)
+        # every support with at most s_k indices per level: all counts c <= s
         best = min(
-            float(np.sum(np.abs(x))) - float(np.sum(np.abs(x[np.asarray(sup.indices, dtype=int) - 1])))
-            if sup.indices
-            else float(np.sum(np.abs(x)))
-            for sup in enumerate_supports(p, exact_counts=False)
+            float(np.sum(np.abs(x))) - float(np.sum(np.abs(x[idx])))
+            for c in product(*(range(sk + 1) for sk in s))
+            for block in support_blocks(SparsityPattern(ls, c))
+            for idx in block
         )
         assert sigma == pytest.approx(best, abs=1e-12)
 
 
 def test_enumerate_exact_example():
     p = SparsityPattern(LevelStructure((0, 2, 4)), (1, 1))
-    sups = [s.indices for s in enumerate_supports(p, exact_counts=True)]
-    assert sups == [(1, 3), (1, 4), (2, 3), (2, 4)]
+    blocks = list(support_blocks(p))
+    assert len(blocks) == 1 and blocks[0].dtype == np.intp
+    assert blocks[0].tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
 
 
 def test_enumerate_zero_budget_single_empty():
     p = SparsityPattern(LevelStructure((0, 2, 4)), (0, 0))
-    sups = list(enumerate_supports(p, exact_counts=True))
-    assert len(sups) == 1
-    assert sups[0].indices == ()
+    blocks = list(support_blocks(p))
+    assert len(blocks) == 1
+    assert blocks[0].shape == (1, 0)
 
 
 def test_enumerate_count_matches_binomials():
     p = SparsityPattern(LevelStructure((0, 3, 7, 12)), (2, 1, 3))
     expected = math.comb(3, 2) * math.comb(4, 1) * math.comb(5, 3)
-    assert count_supports(p, exact_counts=True) == expected
-    assert sum(1 for _ in enumerate_supports(p, exact_counts=True)) == expected
-
-
-def test_enumerate_le_counts_no_duplicates():
-    p = SparsityPattern(LevelStructure((0, 3, 6)), (2, 1))
-    sups = [s.indices for s in enumerate_supports(p, exact_counts=False)]
-    assert len(sups) == len(set(sups)) == count_supports(p, exact_counts=False)
-    assert () in sups
-
-
-def test_enumerate_counts_consistent_with_indices():
-    p = SparsityPattern(LevelStructure((0, 2, 5)), (1, 2))
-    for sup in enumerate_supports(p, exact_counts=False):
-        c1 = sum(1 for j in sup.indices if j <= 2)
-        c2 = sum(1 for j in sup.indices if j > 2)
-        assert sup.counts == (c1, c2)
+    assert count_supports(p) == expected
+    assert sum(len(block) for block in support_blocks(p)) == expected
 
 
 def test_random_sparse_vector_contract():

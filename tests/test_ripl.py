@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from ripl_lab import (
     certify_recovery,
     dft_matrix,
     draw_scheme,
-    enumerate_supports,
     fourier_haar_matrix,
     haar_matrix,
     ricl_exact,
     ricl_monte_carlo,
     ripl_threshold,
+    support_blocks,
 )
 
 
@@ -51,7 +52,7 @@ def test_ricl_exact_row_selector_cases():
     lv = LevelStructure((0, 1, 2))
     rep = ricl_exact(a, SparsityPattern(lv, (1, 1)))
     assert rep.delta == pytest.approx(1.0, abs=1e-12)
-    assert rep.witness_support.indices == (1, 2)
+    assert rep.witness_support == (1, 2)
     rep0 = ricl_exact(a, SparsityPattern(lv, (1, 0)))
     assert rep0.delta == pytest.approx(0.0, abs=1e-12)
 
@@ -81,14 +82,36 @@ def test_ricl_exact_count_enumeration_matches_all_counts():
         rep = ricl_exact(a, pattern)
         gram = a.conj().T @ a
         worst = 0.0
-        for sup in enumerate_supports(pattern, exact_counts=False):
-            if not sup.indices:
+        # every nonempty support with at most s_k indices per level: all counts c <= s
+        for c in product(range(s[0] + 1), range(s[1] + 1)):
+            if sum(c) == 0:
                 continue
-            idx = np.asarray(sup.indices, dtype=int) - 1
-            vals = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
-            lmin, lmax = vals[0], vals[-1]
-            worst = max(worst, lmax - 1.0, 1.0 - lmin)
+            for idx in np.concatenate(list(support_blocks(SparsityPattern(lv, c)))):
+                vals = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
+                lmin, lmax = vals[0], vals[-1]
+                worst = max(worst, lmax - 1.0, 1.0 - lmin)
         assert rep.delta == pytest.approx(worst, abs=1e-10)
+
+
+def test_ricl_exact_across_blocks_matches_product_oracle():
+    # 28^3 = 21,952 supports span six 4,096-row blocks; the witness sits in the fourth
+    rng = np.random.default_rng(0)
+    a = (rng.standard_normal((16, 24)) + 1j * rng.standard_normal((16, 24))) / math.sqrt(32)
+    lv = LevelStructure((0, 8, 16, 24))
+    rep = ricl_exact(a, SparsityPattern(lv, (2, 2, 2)))
+    b = lv.boundaries
+    per_level = [combinations(range(lo, hi), 2) for lo, hi in zip(b, b[1:])]
+    idx = np.array([sum(pick, ()) for pick in product(*per_level)], dtype=np.intp)
+    gram = a.conj().T @ a
+    vals = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+    deltas = np.maximum(vals[:, -1] - 1.0, 1.0 - vals[:, 0])
+    j = int(np.argmax(deltas))
+    assert rep.supports_examined == len(idx) == 21952
+    assert j >= 4096
+    assert rep.delta == pytest.approx(deltas[j], abs=1e-12)
+    assert rep.witness_support == tuple(int(i) + 1 for i in idx[j])
+    assert np.allclose(rep.lam_min, vals[:, 0], rtol=0, atol=1e-12)
+    assert np.allclose(rep.lam_max, vals[:, -1], rtol=0, atol=1e-12)
 
 
 def test_ricl_exact_known_spectrum():

@@ -106,14 +106,14 @@ def _levels_from(config, key, default):
 def resolve_operator(config, seed=None):
     """Build the source matrix named in the config.
 
-    Returns (U, default sampling levels, default sparsity levels, name).
+    Returns (U, default levels, name); the default levels serve as both
+    the sampling and the sparsity levels.
     """
     name = config.get("operator", "fourier-haar")
     n = int(config.get("N", 0))
     if name == "fourier-haar":
         u, layout = fourier_haar_matrix(n)
-        levels = layout.sampling_levels()
-        return u, levels, levels, name
+        return u, layout.sampling_levels(), name
     if name == "dft":
         u = dft_matrix(n)
     elif name == "haar":
@@ -130,8 +130,7 @@ def resolve_operator(config, seed=None):
         n = u.shape[1]
     else:
         raise ValueError(f"unknown operator {name!r}")
-    single = LevelStructure.single_level(u.shape[0] if name != "file" else n)
-    return u, single, single, name
+    return u, LevelStructure.single_level(u.shape[0] if name != "file" else n), name
 
 
 def _require_seed(config, args_seed, command):
@@ -150,9 +149,9 @@ def _ensure_out(args):
 def cmd_coherence(args):
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.get("seed")
-    u, samp_default, spars_default, name = resolve_operator(config, seed=seed)
-    sampling = _levels_from(config, "sampling_boundaries", samp_default)
-    sparsity = _levels_from(config, "sparsity_boundaries", spars_default)
+    u, default_levels, name = resolve_operator(config, seed=seed)
+    sampling = _levels_from(config, "sampling_boundaries", default_levels)
+    sparsity = _levels_from(config, "sparsity_boundaries", default_levels)
     profile = CoherenceProfile.from_matrix(u, sampling, sparsity)
 
     resolved = {
@@ -202,9 +201,9 @@ def cmd_coherence(args):
 def cmd_certify(args):
     config = load_config(args.config)
     seed = _require_seed(config, args.seed, "certify")
-    u, samp_default, spars_default, name = resolve_operator(config, seed=seed)
-    sampling = _levels_from(config, "sampling_boundaries", samp_default)
-    sparsity = _levels_from(config, "sparsity_boundaries", spars_default)
+    u, default_levels, name = resolve_operator(config, seed=seed)
+    sampling = _levels_from(config, "sampling_boundaries", default_levels)
+    sparsity = _levels_from(config, "sparsity_boundaries", default_levels)
     pattern = SparsityPattern(sparsity, tuple(config["s"]))
     r0 = int(config.get("r0", 0))
     m = tuple(config["m"])
@@ -285,10 +284,14 @@ def _resolve_m(config, pattern, r0):
 
 def cmd_recover(args):
     config = load_config(args.config)
+    solver_opts = dict(config.get("solver", {}))
+    unknown = sorted(set(solver_opts) - {"max_iters", "primal_tol"})
+    if unknown:
+        raise ValueError(f"unknown solver option(s) {unknown}; allowed: max_iters, primal_tol")
     seed = _require_seed(config, args.seed, "recover")
-    u, samp_default, spars_default, name = resolve_operator(config, seed=seed)
-    sampling = _levels_from(config, "sampling_boundaries", samp_default)
-    sparsity = _levels_from(config, "sparsity_boundaries", spars_default)
+    u, default_levels, name = resolve_operator(config, seed=seed)
+    sampling = _levels_from(config, "sampling_boundaries", default_levels)
+    sparsity = _levels_from(config, "sparsity_boundaries", default_levels)
     pattern = SparsityPattern(sparsity, tuple(config["s"]))
     r0 = int(config.get("r0", 0))
     trials = int(config.get("trials", 10))
@@ -297,7 +300,6 @@ def cmd_recover(args):
     if noise_scaling not in ("plain", "sqrtK"):
         raise ValueError("noise_scaling must be 'plain' or 'sqrtK'")
     weighted = bool(config.get("weighted", False))
-    solver_opts = dict(config.get("solver", {}))
     magnitude_model = config.get("magnitude_model", "unit")
     success_rtol = float(config.get("success_rtol", 1e-4))
 
@@ -386,6 +388,9 @@ def cmd_allocate(args):
     c = float(config.get("C", 1.0))
     r0 = int(config.get("r0", 0))
     modes = list(config.get("modes", ["haar-uniform", "haar-nonuniform"]))
+    operator = config.get("operator", "fourier-haar")
+    if operator != "fourier-haar":
+        raise ValueError(f"allocate works on the fourier-haar operator only, got {operator!r}")
 
     levels = LevelStructure.dyadic(len(s))
     pattern = SparsityPattern(levels, s)
@@ -396,9 +401,8 @@ def cmd_allocate(args):
         elif mode == "haar-nonuniform":
             results[mode] = allocate_haar(pattern, delta, eps, c, r0=r0, mode="nonuniform")
         elif mode == "general":
-            op_cfg = {"operator": config.get("operator", "fourier-haar"), "N": levels.n}
-            u, samp, spars, _ = resolve_operator(op_cfg, seed=args.seed)
-            profile = CoherenceProfile.from_matrix(u, samp, spars)
+            u, _ = fourier_haar_matrix(levels.n)
+            profile = CoherenceProfile.from_matrix(u, levels, levels)
             results[mode] = allocate_uniform(profile, pattern, delta, eps, c, r0=r0)
         else:
             raise ValueError(f"unknown allocation mode {mode!r}")

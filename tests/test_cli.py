@@ -211,3 +211,27 @@ def test_recover_zero_level_count_fails_cleanly(tmp_path, capsys):
     )
     assert main(["recover", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "level 3: m_k must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", [{"max_iter": 5}, {"check_every": 1000}])
+def test_recover_unknown_solver_option_fails_before_trials(tmp_path, capsys, solver):
+    cfg = _write_config(
+        tmp_path, "rec.json",
+        {"operator": "fourier-haar", "N": 16, "m": [2, 2, 4, 8], "s": [1, 1, 1, 1],
+         "trials": 1, "seed": 1, "solver": solver},
+    )
+    out = tmp_path / "o"
+    assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: unknown solver option(s) {sorted(solver)}; allowed: max_iters, primal_tol" in err
+    assert not out.exists()
+
+
+def test_allocate_general_mode_rejects_other_operators(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, "alloc.json", {"s": [1, 1, 2], "modes": ["general"], "operator": "dft"}
+    )
+    assert main(["allocate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "fourier-haar operator only, got 'dft'" in err
+    assert "different sparsity levels" not in err

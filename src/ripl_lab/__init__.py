@@ -8,14 +8,11 @@ from .levels import (
     SparsityPattern,
     best_approx_in_levels,
     count_supports,
-    is_sparse_in_levels,
     random_sparse_vector,
     support_blocks,
     validate_boundaries,
 )
 from .operators import (
-    BandLayout,
-    band_layout,
     dft_matrix,
     fourier_haar_matrix,
     gaussian_matrix,
@@ -23,7 +20,6 @@ from .operators import (
     is_isometry,
     load_matrix,
     matrix_content_hash,
-    matrix_to_csv,
     save_matrix,
 )
 from .coherence import (

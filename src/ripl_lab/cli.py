@@ -112,8 +112,8 @@ def resolve_operator(config, seed=None):
     name = config.get("operator", "fourier-haar")
     n = int(config.get("N", 0))
     if name == "fourier-haar":
-        u, layout = fourier_haar_matrix(n)
-        return u, layout.sampling_levels(), name
+        u, levels = fourier_haar_matrix(n)
+        return u, levels, name
     if name == "dft":
         u = dft_matrix(n)
     elif name == "haar":
@@ -288,6 +288,14 @@ def cmd_recover(args):
     unknown = sorted(set(solver_opts) - {"max_iters", "primal_tol"})
     if unknown:
         raise ValueError(f"unknown solver option(s) {unknown}; allowed: max_iters, primal_tol")
+    if "max_iters" in solver_opts:
+        iters = solver_opts["max_iters"]
+        if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
+            raise ValueError(f"solver max_iters must be an integer >= 1, got {iters!r}")
+    if "primal_tol" in solver_opts:
+        tol = solver_opts["primal_tol"]
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise ValueError(f"solver primal_tol must be a finite number > 0, got {tol!r}")
     seed = _require_seed(config, args.seed, "recover")
     u, default_levels, name = resolve_operator(config, seed=seed)
     sampling = _levels_from(config, "sampling_boundaries", default_levels)
@@ -465,7 +473,12 @@ def cmd_selftest(args):
             failures += 1
         print(f"selftest {'PASS' if ok else 'FAIL'}: {label}")
 
-    u, layout = fourier_haar_matrix(16)
+    u, levels = fourier_haar_matrix(16)
+    band_freqs = [0, 1, -1, 2, -3, -2, 3, 4, -7, -6, -5, -4, 5, 6, 7, 8]
+    # dft_matrix(16) row i holds the frequency i - 7
+    dense = dft_matrix(16)[np.add(band_freqs, 7)] @ haar_matrix(16)
+    check("fourier-haar(16) matches the dense DFT-Haar product",
+          np.max(np.abs(u - dense)) <= 1e-12)
     check("fourier-haar(16) unitary", is_isometry(u, 1e-10))
     check("dft(16) unitary", is_isometry(dft_matrix(16), 1e-10))
     check("haar(16) orthonormal", is_isometry(haar_matrix(16), 1e-10))
@@ -476,7 +489,6 @@ def cmd_selftest(args):
         abs(ripl_threshold(1, 1.0) - 4.0 / math.sqrt(41.0)) < 1e-12,
     )
 
-    levels = layout.sampling_levels()
     pattern = SparsityPattern(levels, (1, 1, 1, 1))
     scheme = draw_scheme(levels, levels.widths, r0=levels.r, seed=7)
     op = build_measurement(u, scheme)

@@ -86,8 +86,9 @@ class CoherenceProfile:
     @classmethod
     def from_matrix(cls, u, sampling, sparsity):
         mu_local = local_coherence(u, sampling, sparsity)
+        # the blocks partition U, so their largest maximum is the global one
         return cls(
-            mu_global=global_coherence(u),
+            mu_global=float(mu_local.max()),
             mu_local=mu_local,
             mu_tilde=nonuniform_local_coherence(mu_local),
             sampling=sampling,

@@ -21,7 +21,6 @@ __all__ = [
     "LevelStructure",
     "SparsityPattern",
     "validate_boundaries",
-    "is_sparse_in_levels",
     "best_approx_in_levels",
     "support_blocks",
     "count_supports",
@@ -92,15 +91,6 @@ class LevelStructure:
         """0-based slice of level k for numpy indexing."""
         lo, hi = self.level_range(k)
         return slice(lo - 1, hi)
-
-    def level_of_index(self, j):
-        """Level number containing 1-based index j."""
-        if not 1 <= j <= self.n:
-            raise LevelError(f"index {j} out of range 1..{self.n}")
-        for k in range(1, self.r + 1):
-            if j <= self.boundaries[k]:
-                return k
-        raise AssertionError("unreachable")
 
     def to_dict(self):
         return {"N": self.n, "boundaries": list(self.boundaries)}
@@ -191,20 +181,6 @@ def _check_length(x, pattern):
             f"vector length {x.shape} incompatible with N = {pattern.levels.n}"
         )
     return x
-
-
-def is_sparse_in_levels(x, pattern, tol=0.0):
-    """True iff x has at most s_k nonzeros in each level.
-
-    Entries with modulus <= ``tol`` count as zero; the default tol = 0.0
-    is an exact zero test.
-    """
-    x = _check_length(x, pattern)
-    nz = np.abs(x) > tol
-    for k in range(1, pattern.levels.r + 1):
-        if int(np.count_nonzero(nz[pattern.levels.level_slice(k)])) > pattern.s[k - 1]:
-            return False
-    return True
 
 
 def best_approx_in_levels(x, pattern):

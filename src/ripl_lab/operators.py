@@ -4,25 +4,22 @@ Provides the unitary DFT over the symmetric frequency range
 {-N/2+1, ..., N/2}, the orthonormal Haar wavelet basis with
 coarse-to-fine column ordering, the product of the band-reordered DFT
 with the Haar basis (the flagship coherent isometry whose rows group
-into dyadic frequency bands), and an i.i.d. Gaussian baseline matrix.
+into dyadic frequency bands, built by one inverse FFT), and an i.i.d.
+Gaussian baseline matrix.
 
 Matrices serialize to a small binary container (two little-endian uint64
-dims followed by row-major float64 interleaved re/im) and to a CSV debug
-form with separate re/im columns.
+dims followed by row-major float64 interleaved re/im).
 """
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .levels import LevelStructure
 
 __all__ = [
-    "BandLayout",
-    "band_layout",
     "dft_matrix",
     "haar_matrix",
     "fourier_haar_matrix",
@@ -30,7 +27,6 @@ __all__ = [
     "is_isometry",
     "save_matrix",
     "load_matrix",
-    "matrix_to_csv",
     "matrix_content_hash",
 ]
 
@@ -58,50 +54,6 @@ def dft_matrix(n):
     return np.exp(2j * np.pi * np.outer(freqs, j) / n) / np.sqrt(n)
 
 
-@dataclass(frozen=True)
-class BandLayout:
-    """Dyadic frequency bands W_1..W_r and the row reordering they induce.
-
-    ``bands[k-1]`` lists the frequencies of band k in ascending order;
-    ``row_permutation[i]`` is the 0-based row of :func:`dft_matrix`
-    holding the i-th band-ordered frequency.  Band widths are
-    2^max(k-1, 1) and the cumulative boundaries N_k = 2^k.
-    """
-
-    n: int
-    bands: tuple
-    row_permutation: np.ndarray
-
-    def sampling_levels(self):
-        return LevelStructure.dyadic(self.n.bit_length() - 1)
-
-    def to_dict(self):
-        return {
-            "N": self.n,
-            "bands": [list(b) for b in self.bands],
-            "boundaries": self.sampling_levels().to_dict()["boundaries"],
-        }
-
-
-def band_layout(n):
-    """Build the dyadic band layout for N = 2^r.
-
-    W_1 = {0, 1}; W_{k+1} = {-2^k+1..-2^{k-1}} union {2^{k-1}+1..2^k}.
-    Within each band frequencies are kept in ascending order, which
-    fixes a byte-stable row order without affecting any block maximum.
-    """
-    n = _require_pow2(n)
-    r = n.bit_length() - 1
-    bands = [(0, 1)]
-    for k in range(1, r):
-        neg = tuple(range(-(2**k) + 1, -(2 ** (k - 1)) + 1))
-        pos = tuple(range(2 ** (k - 1) + 1, 2**k + 1))
-        bands.append(neg + pos)
-    order = [w for band in bands for w in band]
-    perm = np.array([w + n // 2 - 1 for w in order], dtype=np.intp)
-    return BandLayout(n=n, bands=tuple(bands), row_permutation=perm)
-
-
 def haar_matrix(n):
     """Orthonormal Haar basis as columns, coarse to fine.
 
@@ -127,16 +79,24 @@ def haar_matrix(n):
 
 
 def fourier_haar_matrix(n):
-    """Band-reordered DFT times the Haar basis, with its layout.
+    """Band-reordered DFT times the Haar basis, with its sampling levels.
 
-    Returns (U, layout) where U is unitary and its k-th row block (rows
-    N_{k-1}+1..N_k, boundaries N_k = 2^k) corresponds to the frequencies
-    of band W_k.
+    Returns (U, levels).  U is unitary and is computed as one orthonormal
+    inverse FFT of the Haar columns: row (w mod N) of that transform is
+    the :func:`dft_matrix` row of frequency w.  The rows run over the
+    dyadic frequency bands W_1 = {0, 1}, W_{k+1} = {-2^k+1..-2^{k-1}}
+    union {2^{k-1}+1..2^k}, ascending within each band (a byte-stable
+    order that affects no block maximum), so the k-th row block is band
+    W_k and ``levels`` is ``LevelStructure.dyadic(r)``, boundaries 2^k.
     """
-    layout = band_layout(n)
-    f = dft_matrix(n)
-    u = f[layout.row_permutation] @ haar_matrix(n)
-    return u, layout
+    n = _require_pow2(n)
+    r = n.bit_length() - 1
+    freqs = [0, 1]
+    for k in range(1, r):
+        freqs += range(-(2**k) + 1, -(2 ** (k - 1)) + 1)
+        freqs += range(2 ** (k - 1) + 1, 2**k + 1)
+    u = np.fft.ifft(haar_matrix(n), axis=0, norm="ortho")[np.mod(freqs, n)]
+    return u, LevelStructure.dyadic(r)
 
 
 def gaussian_matrix(m, n, rng):
@@ -183,17 +143,6 @@ def load_matrix(path):
         raise ValueError(f"matrix file {path} has wrong payload size")
     data = data.reshape(rows, cols, 2)
     return (data[:, :, 0] + 1j * data[:, :, 1]).astype(np.complex128)
-
-
-def matrix_to_csv(path, mat):
-    """Debug CSV: one row per matrix row, alternating re,im columns."""
-    mat = np.asarray(mat, dtype=np.complex128)
-    with open(path, "w") as fh:
-        cols = mat.shape[1]
-        header = ",".join(f"re{j},im{j}" for j in range(cols))
-        fh.write(header + "\n")
-        for row in mat:
-            fh.write(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row) + "\n")
 
 
 def matrix_content_hash(mat):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,11 +251,10 @@ def recovery_metrics(x_true, xhat, pattern, eta=0.0):
 class ExperimentResult:
     success_rate: float
     records: tuple
-    meta: dict = field(default_factory=dict)
 
 
 def _run_recovery_trials(make_matrix, pattern, trials, seed, eta, radius, weights,
-                         solver_opts, success_rtol, magnitude_model, meta):
+                         solver_opts, success_rtol, magnitude_model):
     solver_opts = dict(solver_opts or {})
     trials = int(trials)
     if trials < 1:
@@ -301,11 +300,7 @@ def _run_recovery_trials(make_matrix, pattern, trials, seed, eta, radius, weight
 
     records = [run_trial(index, child) for index, child in enumerate(children)]
     rate = sum(1 for rec in records if rec["success"]) / trials
-    return ExperimentResult(
-        success_rate=rate,
-        records=tuple(records),
-        meta=dict(meta, eta=eta, radius=ball_radius),
-    )
+    return ExperimentResult(success_rate=rate, records=tuple(records))
 
 
 def exact_recovery_experiment(u, levels, m, r0, pattern, trials, seed, eta=0.0,
@@ -330,7 +325,7 @@ def exact_recovery_experiment(u, levels, m, r0, pattern, trials, seed, eta=0.0,
 
     return _run_recovery_trials(
         make_matrix, pattern, trials, seed, eta, radius, weights, solver_opts,
-        success_rtol, magnitude_model, meta={"sampling": "multilevel", "r0": r0},
+        success_rtol, magnitude_model,
     )
 
 
@@ -352,5 +347,5 @@ def gaussian_recovery_experiment(n, m_total, pattern, trials, seed, eta=0.0,
 
     return _run_recovery_trials(
         make_matrix, pattern, trials, seed, eta, radius, weights, solver_opts,
-        success_rtol, magnitude_model, meta={"sampling": "gaussian"},
+        success_rtol, magnitude_model,
     )

@@ -246,8 +246,7 @@ class CertificationReport:
         }
 
 
-def certify_recovery(a, pattern, max_supports=10**6, mc_trials=2000, seed=None,
-                     mc_fallback=True):
+def certify_recovery(a, pattern, max_supports=10**6, mc_trials=2000, seed=None):
     """Certify recovery sufficiency via the doubled-order constant.
 
     Computes delta_{2s,M} (budgets 2 s_k, clamped to the level widths)
@@ -274,16 +273,12 @@ def certify_recovery(a, pattern, max_supports=10**6, mc_trials=2000, seed=None,
         report = ricl_exact(a, doubled, max_supports=max_supports)
         verdict = "sufficient" if report.delta < threshold else "insufficient"
         method = "exact"
-    elif mc_fallback:
+    else:
         if seed is None:
             raise ValueError("Monte-Carlo fallback needs a seed")
         report = ricl_monte_carlo(a, doubled, trials=mc_trials, seed=seed)
         verdict = "insufficient" if report.delta >= threshold else "inconclusive"
         method = "monte-carlo"
-    else:
-        raise EnumerationBudgetError(
-            "enumeration budget exceeded and Monte-Carlo fallback disabled"
-        )
 
     return CertificationReport(
         verdict=verdict,

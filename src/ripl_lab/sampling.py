@@ -176,7 +176,6 @@ class MeasurementOperator:
 
     a: np.ndarray
     scheme: SamplingScheme
-    p: tuple
     k_factor: float
 
     @property
@@ -204,7 +203,7 @@ def build_measurement(u, scheme):
     a = np.vstack(blocks) if blocks else np.zeros((0, u.shape[1]), dtype=u.dtype)
     nonempty = [wk / mk for mk, wk in zip(scheme.m, scheme.levels.widths) if mk > 0]
     k_factor = max(nonempty) if nonempty else math.inf
-    return MeasurementOperator(a=a, scheme=scheme, p=p, k_factor=float(k_factor))
+    return MeasurementOperator(a=a, scheme=scheme, k_factor=float(k_factor))
 
 
 @dataclass(frozen=True)

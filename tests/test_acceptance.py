@@ -36,8 +36,7 @@ def test_c02_isometry_ricl_zero():
             rep = rl.ricl_exact(op, rl.SparsityPattern(two_level, s_two))
             assert rep.delta <= 1e-10, (make.__name__, n, rep.delta)
             checked += 1
-        u, layout = rl.fourier_haar_matrix(n)
-        lv = layout.sampling_levels()
+        u, lv = rl.fourier_haar_matrix(n)
         op = _saturated_operator(u, lv)
         s = [0] * lv.r
         s[0] = 1
@@ -66,8 +65,7 @@ def test_c03_coherence_identities():
 def test_c04_fourier_haar_decay_constant_stable():
     max_ratios = []
     for n in (64, 128, 256, 512):
-        u, layout = rl.fourier_haar_matrix(n)
-        lv = layout.sampling_levels()
+        u, lv = rl.fourier_haar_matrix(n)
         mu = rl.local_coherence(u, lv, lv)
         worst = 0.0
         for k in range(1, lv.r + 1):
@@ -84,8 +82,7 @@ def test_c04_fourier_haar_decay_constant_stable():
 
 def test_c05_unbiasedness_and_rate():
     n = 32
-    u, layout = rl.fourier_haar_matrix(n)
-    lv = layout.sampling_levels()
+    u, lv = rl.fourier_haar_matrix(n)
     m = tuple(w // 2 for w in lv.widths)
     acc = np.zeros((n, n), dtype=complex)
     deviations = {}
@@ -189,8 +186,7 @@ def test_c06_oracle_equivalence():
 def test_c07_uniform_recovery_consistency():
     # every instance certified sufficient must recover 20/20 noiseless signals
     instances = []
-    u16, layout16 = rl.fourier_haar_matrix(16)
-    lv16 = layout16.sampling_levels()
+    u16, lv16 = rl.fourier_haar_matrix(16)
     instances.append(
         ("fourier-haar16 saturated",
          _saturated_operator(u16, lv16), rl.SparsityPattern(lv16, (1, 1, 1, 1)))
@@ -229,8 +225,7 @@ def test_c07_uniform_recovery_consistency():
 def test_c08_phase_transition_multilevel_beats_uniform():
     n = 64
     s = (2, 2, 2, 2, 2, 2)  # asymptotic: s_k / width_k = 1, 1, .5, .25, .125, .0625
-    u, layout = rl.fourier_haar_matrix(n)
-    lv = layout.sampling_levels()
+    u, lv = rl.fourier_haar_matrix(n)
     pattern = rl.SparsityPattern(lv, s)
     # recorded constant: allocation at C = 4.49e-4 totals 32 = 50% of N
     alloc = rl.allocate_haar(s, 0.5, 0.5, 4.49e-4, r0=0, mode="uniform")
@@ -266,8 +261,7 @@ def test_c09_monotonicity_suite():
     ]
     assert all(d1 <= d2 + 1e-12 for d1, d2 in zip(deltas, deltas[1:]))
 
-    u, layout = rl.fourier_haar_matrix(32)
-    flv = layout.sampling_levels()
+    u, flv = rl.fourier_haar_matrix(32)
     prof = rl.CoherenceProfile.from_matrix(u, flv, flv)
     base = rl.allocate_uniform(prof, rl.SparsityPattern(flv, (1, 1, 1, 2, 2)), 0.5, 0.5, 2e-4)
     for other in (

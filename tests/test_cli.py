@@ -227,6 +227,30 @@ def test_recover_unknown_solver_option_fails_before_trials(tmp_path, capsys, sol
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "solver, message",
+    [
+        ({"max_iters": "500"}, "solver max_iters must be an integer >= 1, got '500'"),
+        ({"max_iters": 0}, "solver max_iters must be an integer >= 1, got 0"),
+        ({"max_iters": True}, "solver max_iters must be an integer >= 1, got True"),
+        ({"primal_tol": -1}, "solver primal_tol must be a finite number > 0, got -1"),
+        ({"primal_tol": "1e-7"}, "solver primal_tol must be a finite number > 0, got '1e-7'"),
+        ({"primal_tol": float("inf")}, "solver primal_tol must be a finite number > 0, got inf"),
+    ],
+    ids=["iters-str", "iters-zero", "iters-bool", "tol-negative", "tol-str", "tol-inf"],
+)
+def test_recover_bad_solver_value_fails_before_trials(tmp_path, capsys, solver, message):
+    cfg = _write_config(
+        tmp_path, "rec.json",
+        {"operator": "fourier-haar", "N": 16, "m": [2, 2, 4, 8], "s": [1, 1, 1, 1],
+         "trials": 1, "seed": 1, "solver": solver},
+    )
+    out = tmp_path / "o"
+    assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_allocate_general_mode_rejects_other_operators(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, "alloc.json", {"s": [1, 1, 2], "modes": ["general"], "operator": "dft"}

@@ -8,7 +8,9 @@ from ripl_lab import (
     SparsityPattern,
     dft_matrix,
     fourier_haar_matrix,
+    gaussian_matrix,
     global_coherence,
+    haar_matrix,
     local_coherence,
     nonuniform_local_coherence,
     relative_sparsity,
@@ -33,6 +35,12 @@ def test_local_coherence_max_equals_global():
     spars = LevelStructure((0, 2, 5, 8))
     mu = local_coherence(u, samp, spars)
     assert mu.max() == pytest.approx(global_coherence(u), abs=0)
+    fh, lv = fourier_haar_matrix(16)
+    g = gaussian_matrix(8, 8, np.random.default_rng(3))
+    g[-1, -1] = 2 * np.abs(g).max()  # the maximum sits in the last block
+    for mat, levels in ((dft_matrix(16), lv), (haar_matrix(16), lv), (fh, lv), (g, spars)):
+        profile = CoherenceProfile.from_matrix(mat, levels, levels)
+        assert profile.mu_global == global_coherence(mat)
 
 
 def test_local_coherence_dimension_mismatch():
@@ -59,8 +67,7 @@ def test_nonuniform_variant_dominates_fuzzed():
 
 
 def test_profile_invariants_fourier_haar():
-    u, layout = fourier_haar_matrix(32)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(32)
     prof = CoherenceProfile.from_matrix(u, lv, lv)
     n = 32
     assert 1.0 / n <= prof.mu_global <= 1.0 + 1e-12
@@ -82,16 +89,14 @@ def test_relative_sparsity_zero_budget():
 
 
 def test_relative_sparsity_monotone_in_budgets():
-    u, layout = fourier_haar_matrix(8)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(8)
     small = relative_sparsity(u, lv, lv, (1, 0, 1), phases=4).values
     large = relative_sparsity(u, lv, lv, (1, 1, 2), phases=4).values
     assert np.all(large >= small - 1e-12)
 
 
 def test_relative_sparsity_phase_refinement_non_decreasing():
-    u, layout = fourier_haar_matrix(8)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(8)
     prev = None
     for phases in (2, 4, 8):
         vals = relative_sparsity(u, lv, lv, (1, 1, 1), phases=phases).values
@@ -101,8 +106,7 @@ def test_relative_sparsity_phase_refinement_non_decreasing():
 
 
 def test_relative_sparsity_flags_complex_as_lower_bound():
-    u, layout = fourier_haar_matrix(8)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(8)
     rep = relative_sparsity(u, lv, lv, (1, 0, 0), phases=4)
     assert not rep.exact
     assert rep.certificates[0][0]  # certifying support recorded
@@ -110,8 +114,7 @@ def test_relative_sparsity_flags_complex_as_lower_bound():
 
 def test_relative_sparsity_fourier_haar_interference_bound():
     # recorded constant: S_k <= 0.91 * sum_l 2^(-|k-l|/2) s_l at N = 16
-    u, layout = fourier_haar_matrix(16)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(16)
     s = (1, 1, 1, 1)
     rep = relative_sparsity(u, lv, lv, s, phases=4)
     for k in range(4):
@@ -120,15 +123,13 @@ def test_relative_sparsity_fourier_haar_interference_bound():
 
 
 def test_relative_sparsity_upper_bound_diagnostic():
-    u, layout = fourier_haar_matrix(16)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(16)
     rep = relative_sparsity(u, lv, lv, (1, 1, 1, 1), phases=4)
     assert np.all(rep.values <= rep.upper_bound + 1e-10)
 
 
 def test_relative_sparsity_budget_guard():
-    u, layout = fourier_haar_matrix(16)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(16)
     with pytest.raises(SearchBudgetError):
         relative_sparsity(u, lv, lv, (2, 2, 4, 8), phases=4, max_evaluations=1000)
 

@@ -10,7 +10,6 @@ from ripl_lab import (
     SparsityPattern,
     best_approx_in_levels,
     count_supports,
-    is_sparse_in_levels,
     random_sparse_vector,
     support_blocks,
     validate_boundaries,
@@ -48,7 +47,6 @@ def test_level_structure_basics():
     assert ls.widths == (2, 2, 4)
     assert ls.level_range(1) == (1, 2)
     assert ls.level_range(3) == (5, 8)
-    assert ls.level_of_index(5) == 3
     assert LevelStructure.from_dict(ls.to_dict()) == ls
 
 
@@ -67,31 +65,13 @@ def test_pattern_ratio_examples():
     assert SparsityPattern(ls, (0, 0)).ratio == 1.0
 
 
-def test_is_sparse_in_levels_examples():
-    p = SparsityPattern(LevelStructure((0, 2, 4)), (1, 1))
-    assert is_sparse_in_levels([1, 0, 0, 2], p)
-    assert not is_sparse_in_levels([1, 1, 0, 0], p)
-    assert is_sparse_in_levels(np.zeros(4), p)
-
-
-def test_is_sparse_tolerance_variant():
-    p = SparsityPattern(LevelStructure((0, 2, 4)), (1, 1))
-    x = [1, 1e-9, 0, 2]
-    assert not is_sparse_in_levels(x, p)
-    assert is_sparse_in_levels(x, p, tol=1e-8)
-
-
-def test_is_sparse_dimension_mismatch():
-    p = SparsityPattern(LevelStructure((0, 2, 4)), (1, 1))
-    with pytest.raises(LevelError):
-        is_sparse_in_levels([1, 0, 0], p)
-
-
 def test_best_approx_example():
     p = SparsityPattern(LevelStructure((0, 2, 4)), (1, 1))
     z, sigma = best_approx_in_levels(np.array([3.0, 1.0, 2.0, 0.0]), p)
     assert np.array_equal(z, [3, 0, 2, 0])
     assert sigma == 1.0
+    with pytest.raises(LevelError):
+        best_approx_in_levels([1, 0, 0], p)
 
 
 def test_best_approx_admissible_input_unchanged():
@@ -174,7 +154,6 @@ def test_random_sparse_vector_contract():
     p = SparsityPattern(LevelStructure((0, 4, 12)), (2, 3))
     rng = np.random.default_rng(11)
     x = random_sparse_vector(p, rng, "unit")
-    assert is_sparse_in_levels(x, p)
     assert np.count_nonzero(x[:4]) == 2
     assert np.count_nonzero(x[4:]) == 3
     mods = np.abs(x[np.abs(x) > 0])

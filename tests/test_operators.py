@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ripl_lab import (
-    band_layout,
+    LevelStructure,
     dft_matrix,
     fourier_haar_matrix,
     gaussian_matrix,
@@ -11,7 +11,6 @@ from ripl_lab import (
     is_isometry,
     load_matrix,
     matrix_content_hash,
-    matrix_to_csv,
     save_matrix,
 )
 
@@ -92,23 +91,44 @@ def test_fourier_haar_fully_coherent():
     assert abs(u[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
+def _bands(n):
+    """Band-ordered frequencies: W_1 = {0, 1},
+    W_{k+1} = {-2^k+1..-2^(k-1)} u {2^(k-1)+1..2^k}."""
+    bands = [(0, 1)]
+    for k in range(1, n.bit_length() - 1):
+        neg = tuple(range(-(2**k) + 1, -(2 ** (k - 1)) + 1))
+        pos = tuple(range(2 ** (k - 1) + 1, 2**k + 1))
+        bands.append(neg + pos)
+    return bands
+
+
 def test_band_layout_partition():
     for n in (4, 16, 128):
-        layout = band_layout(n)
+        bands = _bands(n)
         r = n.bit_length() - 1
-        assert layout.bands[0] == (0, 1)
-        widths = [len(b) for b in layout.bands]
-        assert widths == [2 ** max(k - 1, 1) for k in range(1, r + 1)]
-        flat = [w for band in layout.bands for w in band]
+        widths = [2 ** max(k - 1, 1) for k in range(1, r + 1)]
+        assert [len(b) for b in bands] == widths
+        flat = [w for band in bands for w in band]
         assert sorted(flat) == list(range(-n // 2 + 1, n // 2 + 1))
-        assert sorted(layout.row_permutation.tolist()) == list(range(n))
+        assert sorted(np.mod(flat, n).tolist()) == list(range(n))
+        _, levels = fourier_haar_matrix(n)
+        assert levels.widths == tuple(widths)
 
 
 def test_band_layout_second_band():
-    layout = band_layout(8)
-    assert layout.bands[1] == (-1, 2)
-    assert layout.bands[2] == (-3, -2, 3, 4)
-    assert layout.sampling_levels().boundaries == (0, 2, 4, 8)
+    assert _bands(8) == [(0, 1), (-1, 2), (-3, -2, 3, 4)]
+    _, levels = fourier_haar_matrix(8)
+    assert levels.boundaries == (0, 2, 4, 8)
+
+
+def test_fourier_haar_matches_dense_product():
+    for n in POW2:
+        bands = _bands(n)
+        freqs = [w for band in bands for w in band]
+        rows = np.add(freqs, n // 2 - 1)  # dft_matrix row i holds frequency i - N/2 + 1
+        u, levels = fourier_haar_matrix(n)
+        assert np.max(np.abs(u - dft_matrix(n)[rows] @ haar_matrix(n))) <= 1e-12, n
+        assert levels == LevelStructure.dyadic(len(bands))
 
 
 def test_gaussian_column_norms_and_determinism():
@@ -138,15 +158,6 @@ def test_matrix_file_roundtrip(tmp_path):
     assert np.array_equal(back, mat.astype(np.complex128))
     # container layout: 16-byte header + interleaved float64 payload
     assert path.stat().st_size == 16 + 5 * 3 * 2 * 8
-
-
-def test_matrix_csv_debug_form(tmp_path):
-    mat = np.array([[1 + 2j, 3.5]])
-    path = tmp_path / "m.csv"
-    matrix_to_csv(path, mat)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "re0,im0,re1,im1"
-    assert lines[1] == "1.0,2.0,3.5,0.0"
 
 
 def test_matrix_content_hash_stable():

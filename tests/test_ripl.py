@@ -168,8 +168,7 @@ def test_ricl_exact_zero_pattern():
 
 
 def test_ricl_monte_carlo_saturated_is_zero():
-    u, layout = fourier_haar_matrix(8)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(8)
     scheme = draw_scheme(lv, lv.widths, r0=lv.r, seed=0)
     op = build_measurement(u, scheme)
     rep = ricl_monte_carlo(op, SparsityPattern(lv, (1, 1, 1)), trials=50, seed=1)
@@ -177,8 +176,7 @@ def test_ricl_monte_carlo_saturated_is_zero():
 
 
 def test_ricl_monte_carlo_nested_monotone_and_below_exact():
-    u, layout = fourier_haar_matrix(16)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(16)
     pattern = SparsityPattern(lv, (1, 1, 1, 1))
     op = build_measurement(u, draw_scheme(lv, (2, 2, 2, 4), r0=2, seed=5))
     exact = ricl_exact(op, pattern).delta
@@ -208,8 +206,7 @@ def test_ricl_monte_carlo_below_exact_fuzzed():
 
 
 def test_ricl_monte_carlo_close_to_exact_with_many_trials():
-    u, layout = fourier_haar_matrix(16)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(16)
     pattern = SparsityPattern(lv, (1, 1, 1, 1))
     op = build_measurement(u, draw_scheme(lv, (2, 2, 2, 4), r0=2, seed=5))
     exact = ricl_exact(op, pattern).delta
@@ -218,8 +215,7 @@ def test_ricl_monte_carlo_close_to_exact_with_many_trials():
 
 
 def test_certify_saturated_sufficient():
-    u, layout = fourier_haar_matrix(8)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(8)
     op = build_measurement(u, draw_scheme(lv, lv.widths, r0=lv.r, seed=0))
     report = certify_recovery(op, SparsityPattern(lv, (1, 1, 1)))
     assert report.verdict == "sufficient"
@@ -252,18 +248,10 @@ def test_certify_monte_carlo_fallback_refutes():
 
 
 def test_certify_monte_carlo_inconclusive_near_isometry():
-    u, layout = fourier_haar_matrix(16)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(16)
     op = build_measurement(u, draw_scheme(lv, lv.widths, r0=4, seed=0))
     pattern = SparsityPattern(lv, (1, 1, 1, 2))
     report = certify_recovery(op, pattern, max_supports=3, mc_trials=50, seed=4)
     # the sampled lower bound of a saturated isometry is ~0, below threshold
     assert report.method == "monte-carlo"
     assert report.verdict == "inconclusive"
-
-
-def test_certify_budget_error_without_fallback():
-    a = np.eye(32, dtype=complex)
-    pattern = SparsityPattern(LevelStructure((0, 16, 32)), (6, 6))
-    with pytest.raises(EnumerationBudgetError):
-        certify_recovery(a, pattern, max_supports=10, mc_fallback=False)

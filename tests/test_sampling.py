@@ -57,8 +57,7 @@ def test_draw_scheme_deterministic_and_level_independent():
 
 
 def _seeded_runs():
-    u, layout = fourier_haar_matrix(8)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(8)
     pattern = SparsityPattern(lv, (1, 1, 1))
     op = build_measurement(u, draw_scheme(lv, (2, 2, 2), r0=2, seed=0))
     return {
@@ -98,12 +97,10 @@ def test_scheme_serialization_roundtrip():
 
 
 def test_saturated_build_is_permuted_isometry():
-    u, layout = fourier_haar_matrix(16)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(16)
     scheme = draw_scheme(lv, lv.widths, r0=lv.r, seed=0)
     op = build_measurement(u, scheme)
     assert np.max(np.abs(op.a.conj().T @ op.a - np.eye(16))) < 1e-10
-    assert op.p == (1.0, 1.0, 1.0, 1.0)
     assert op.k_factor == 1.0
 
 
@@ -121,8 +118,7 @@ def test_single_draw_scaling():
 def test_mean_gram_close_to_identity():
     # empirical counterpart of E(A*A) = I over 2000 independent schemes
     n = 32
-    u, layout = fourier_haar_matrix(n)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(n)
     m = tuple(w // 2 for w in lv.widths)
     acc = np.zeros((n, n), dtype=complex)
     for child in np.random.SeedSequence(4).spawn(2000):
@@ -139,8 +135,7 @@ def test_build_measurement_dimension_mismatch():
 
 
 def _fh_profile(n):
-    u, layout = fourier_haar_matrix(n)
-    lv = layout.sampling_levels()
+    u, lv = fourier_haar_matrix(n)
     return CoherenceProfile.from_matrix(u, lv, lv), lv
 
 

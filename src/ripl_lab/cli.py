@@ -363,13 +363,13 @@ def cmd_recover(args):
     out = _ensure_out(args)
     header = (
         "trial", "seed", "m", "err2", "err1", "rel_err", "success", "converged",
-        "iterations", "bound_ratio_l1", "bound_ratio_l2",
+        "iterations", "gap", "bound_ratio_l1", "bound_ratio_l2",
     )
     rows = [
         (
             rec["trial"], seed, ";".join(str(v) for v in rec["m"]), rec["err2"],
             rec["err1"], rec["rel_err"], rec["success"], rec["converged"],
-            rec["iterations"], rec["bound_ratio_l1"], rec["bound_ratio_l2"],
+            rec["iterations"], rec["gap"], rec["bound_ratio_l1"], rec["bound_ratio_l2"],
         )
         for rec in result.records
     ]

@@ -95,7 +95,24 @@ def fourier_haar_matrix(n):
     for k in range(1, r):
         freqs += range(-(2**k) + 1, -(2 ** (k - 1)) + 1)
         freqs += range(2 ** (k - 1) + 1, 2**k + 1)
-    u = np.fft.ifft(haar_matrix(n), axis=0, norm="ortho")[np.mod(freqs, n)]
+    # one complex N x N buffer: transformed in place, then its rows are
+    # permuted in place cycle by cycle through a single row buffer
+    u = np.empty((n, n), dtype=np.complex128)
+    u[...] = haar_matrix(n)
+    np.fft.ifft(u, axis=0, norm="ortho", out=u)
+    source = np.mod(freqs, n)  # row i of U is transform row source[i]
+    placed = np.zeros(n, dtype=bool)
+    for start in range(n):
+        if placed[start]:
+            continue
+        row = u[start].copy()
+        i = start
+        while source[i] != start:
+            u[i] = u[source[i]]
+            placed[i] = True
+            i = source[i]
+        u[i] = row
+        placed[i] = True
     return u, LevelStructure.dyadic(r)
 
 

@@ -6,8 +6,14 @@ step is a coordinate-wise complex soft-threshold (shrinking the modulus,
 preserving the phase, with level weights), the dual step is the
 projection onto the eta-ball around y (which degenerates to the affine
 projection onto {u : u = y} when eta = 0, so one code path covers both).
-Step sizes come from the exact spectral norm ||A|| (LAPACK SVD), so the
-step condition sigma tau ||A||^2 < 1 holds.  Optimality is certified
+Step sizes come from the exact spectral norm ||A|| (LAPACK SVD) and a
+primal weight omega: tau = 1/(1.02 omega ||A||), sigma = omega/(1.02 ||A||),
+so the step condition sigma tau ||A||^2 < 1 holds for every omega.  The
+weight starts at 1 and every 100 iterations moves, in log space, a
+fraction theta = 0.2 of the way to ||dq|| / ||dz||, the ratio of the dual
+and primal moves since the last update (the adaptive primal weight of
+PDLP, Applegate et al. 2021), which balances iterates of unequal scale.
+Optimality is certified
 with a duality-gap estimate: a rescaled copy of the dual iterate is
 always dual-feasible, so objective - dual value bounds the suboptimality
 from above.
@@ -104,6 +110,8 @@ class SolveResult:
 
 
 _CHECK_EVERY = 25  # iterations between convergence checks
+_WEIGHT_EVERY = 100  # iterations between primal-weight updates
+_WEIGHT_SMOOTHING = 0.2  # theta: log-space step toward ||dq|| / ||dz||
 _STABILITY_WINDOW = 100  # iterations over which the objective must be stable
 _FEASIBILITY_TOL = 1e-9
 
@@ -115,6 +123,12 @@ def _soft_threshold(z, thresh):
 
 def solve_qcbp(problem, max_iters=50000, primal_tol=1e-7):
     """Primal-dual solve of the weighted l1 ball-constrained problem.
+
+    The primal and dual steps are 1/(1.02 omega ||A||) and
+    omega/(1.02 ||A||).  The primal weight omega starts at 1; every 100
+    iterations log omega takes 0.2 of a step toward
+    log(||dq|| / ||dz||), with dq and dz the dual and primal changes
+    since the last update (skipped when either is zero).
 
     Every 25 iterations (and at the cap) the solver checks convergence:
     feasibility ``||A z - y|| <= eta + 1e-9``, a relative duality-gap
@@ -136,11 +150,15 @@ def solve_qcbp(problem, max_iters=50000, primal_tol=1e-7):
         xhat = np.zeros(n, dtype=np.complex128)
         resid = float(np.linalg.norm(y))
         return SolveResult(xhat, 0.0, resid, 0, resid <= eta + _FEASIBILITY_TOL, 0.0)
-    sigma = tau = 1.0 / (1.02 * norm_a)
+    # sigma tau ||A||^2 = 1/1.02^2 < 1 for every primal weight omega
+    step = 1.0 / (1.02 * norm_a)
+    omega = 1.0
+    sigma = tau = step
 
     z = np.zeros(n, dtype=np.complex128)
     zbar = z.copy()
     q = np.zeros(m, dtype=np.complex128)
+    z_last, q_last = z, q
     thresh = tau * w
 
     history = []
@@ -167,6 +185,16 @@ def solve_qcbp(problem, max_iters=50000, primal_tol=1e-7):
             z_new = _soft_threshold(z - tau * a_h_q, thresh)
             zbar = 2.0 * z_new - z
             z = z_new
+
+            if it % _WEIGHT_EVERY == 0:
+                dz = float(np.linalg.norm(z - z_last))
+                dq = float(np.linalg.norm(q - q_last))
+                if dz > 0.0 and dq > 0.0:
+                    omega = math.exp(_WEIGHT_SMOOTHING * math.log(dq / dz)
+                                     + (1.0 - _WEIGHT_SMOOTHING) * math.log(omega))
+                    tau, sigma = step / omega, step * omega
+                    thresh = tau * w
+                z_last, q_last = z, q
 
             if it % _CHECK_EVERY == 0 or it == max_iters:
                 residual = float(np.linalg.norm(a @ z - y))
@@ -294,6 +322,7 @@ def _run_recovery_trials(make_matrix, pattern, trials, seed, eta, radius, weight
             "success": rel <= success_rtol,
             "converged": result.converged,
             "iterations": result.iterations,
+            "gap": result.gap,
             "bound_ratio_l1": metrics["bound_ratio_l1"],
             "bound_ratio_l2": metrics["bound_ratio_l2"],
         }

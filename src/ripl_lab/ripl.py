@@ -94,7 +94,9 @@ def ricl_exact(a, pattern, max_supports=10**6):
     per block of :func:`~ripl_lab.levels.support_blocks`, gathered with
     one fancy index), and maximizes max(lambda_max - 1, 1 - lambda_min).
     Ties go to the support that comes first in the lexicographic
-    enumeration; ``witness_support`` holds its 1-based indices.
+    enumeration; ``witness_support`` holds its 1-based indices.  The
+    result checks itself: one more ``eigvalsh`` of the witness's Gram
+    block must reproduce delta to 1e-12, or a ``RuntimeError`` is raised.
     ``lam_min`` and ``lam_max`` of the report hold every support's
     extremes in that order.  Raises
     :class:`EnumerationBudgetError` when the support count exceeds
@@ -131,6 +133,16 @@ def ricl_exact(a, pattern, max_supports=10**6):
             best = float(deltas[j])
             best_support = tuple((idx[j] + 1).tolist())
         examined = stop
+
+    # the certificate checks itself: delta is attained on its witness (a
+    # batched and a single eigvalsh agree to rounding, far inside 1e-12)
+    witness = np.asarray(best_support) - 1
+    vals = np.linalg.eigvalsh(gram[np.ix_(witness, witness)])
+    recheck = max(float(vals[-1]) - 1.0, 1.0 - float(vals[0]))
+    if abs(recheck - best) > 1e-12:
+        raise RuntimeError(
+            f"witness support gives delta {recheck!r}, enumeration found {best!r}"
+        )
 
     return RiclReport(
         delta=max(best, 0.0),

@@ -113,6 +113,42 @@ def test_recover_command_and_replay(tmp_path):
     assert header.startswith("trial,seed,m,err2,err1")
 
 
+def test_recover_trials_carry_duality_gap(tmp_path):
+    base = {"operator": "fourier-haar", "N": 16, "m": [2, 2, 4, 6], "r0": 2,
+            "s": [1, 1, 1, 1], "trials": 6, "seed": 4, "eta": 0.01}
+    for solver in ({"max_iters": 20000, "primal_tol": 1e-6}, {"max_iters": 30}):
+        cfg = _write_config(tmp_path, "rec.json", dict(base, solver=solver))
+        out = tmp_path / str(solver["max_iters"])
+        assert main(["recover", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        records = json.loads((out / "trials.json").read_text())
+        assert all(np.isfinite(rec["gap"]) for rec in records)
+        assert [rec["converged"] for rec in records] == [solver["max_iters"] > 30] * 6
+        for rec in records:
+            if rec["converged"]:
+                # the true signal is feasible, so the objective is at most
+                # ||x||_1 = sum(s) and the relative gap test bounds |gap|
+                assert abs(rec["gap"]) <= solver["primal_tol"] * (1 + sum(base["s"]))
+    assert main(["recover", "--config", cfg, "--out", str(tmp_path / "csv")]) == 0
+    assert ",iterations,gap," in (tmp_path / "csv" / "trials.csv").read_text().splitlines()[0]
+
+
+def test_readme_recover_config_converges_every_trial(tmp_path):
+    cfg = _write_config(
+        tmp_path, "rec.json",
+        {"operator": "fourier-haar", "N": 64, "s": [2, 2, 2, 2, 2, 2], "r0": 4,
+         "allocation": {"mode": "haar-uniform", "delta": 0.5, "eps": 0.5, "C": 4.49e-4},
+         "trials": 50, "eta": 0.0, "noise_scaling": "plain", "weighted": False,
+         "seed": 20260811, "solver": {"max_iters": 30000, "primal_tol": 1e-6}},
+    )
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="hypothesis"):
+        assert main(["recover", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    records = json.loads((out / "trials.json").read_text())
+    assert all(rec["converged"] for rec in records)
+    flags = "".join("1" if rec["success"] else "0" for rec in records)
+    assert flags == "00101011010010011101100101100010010010010101001111"
+
+
 def test_recover_with_allocation_block(tmp_path):
     cfg = _write_config(
         tmp_path, "rec.json",

@@ -14,6 +14,7 @@ from ripl_lab import (
     recovery_metrics,
     solve_qcbp,
 )
+from ripl_lab import recovery
 from ripl_lab.recovery import gaussian_recovery_experiment, level_weight_vector
 
 
@@ -95,6 +96,29 @@ def test_iteration_cap_flags_not_converged():
     res = solve_qcbp(QcbpProblem(a=a, y=y, eta=0.0), max_iters=10)
     assert not res.converged
     assert res.iterations == 10
+
+
+def test_primal_weight_cuts_noisy_weighted_iterations(monkeypatch):
+    # one trial of the noisy weighted Fourier-Haar setting at N = 64; a
+    # weight update period beyond the cap is the fixed-step solver
+    u, lv = fourier_haar_matrix(64)
+    pattern = SparsityPattern(lv, (1, 1, 1, 2, 2, 3))
+    m = (2, 2, 4, 8, 12, 16)
+    k_factor = max(w / mk for w, mk in zip(lv.widths, m))
+
+    def iterations():
+        rec = exact_recovery_experiment(
+            u, lv, m, 2, pattern, 1, 0, eta=0.01, radius=0.01 * math.sqrt(k_factor),
+            weights=inverse_sqrt_level_weights(pattern), magnitude_model="gaussian",
+            success_rtol=0.05, solver_opts={"max_iters": 30000},
+        ).records[0]
+        assert rec["converged"] and rec["success"]
+        return rec["iterations"]
+
+    adaptive = iterations()
+    monkeypatch.setattr(recovery, "_WEIGHT_EVERY", 10**9)
+    fixed = iterations()
+    assert 4 * adaptive <= fixed, (adaptive, fixed)
 
 
 def test_problem_validation():

@@ -162,6 +162,24 @@ def test_ricl_exact_budget_guard():
         ricl_exact(a, SparsityPattern(lv, (8, 8)), max_supports=1000)
 
 
+def test_ricl_exact_witness_recheck_catches_batched_eigen_error(monkeypatch):
+    # the batched (3-D) eigen step drifts by 1e-9; the witness's single
+    # eigvalsh does not, so the self-check must refuse the certificate
+    rng = np.random.default_rng(10)
+    a = (rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))) / math.sqrt(8)
+    pattern = SparsityPattern(LevelStructure((0, 4, 8)), (2, 1))
+    eigvalsh = np.linalg.eigvalsh
+
+    def drifting(mats):
+        vals = eigvalsh(mats)
+        return vals + 1e-9 if np.ndim(mats) == 3 else vals
+
+    ricl_exact(a, pattern)
+    monkeypatch.setattr(np.linalg, "eigvalsh", drifting)
+    with pytest.raises(RuntimeError, match="witness support"):
+        ricl_exact(a, pattern)
+
+
 def test_ricl_exact_zero_pattern():
     rep = ricl_exact(np.eye(4, dtype=complex), SparsityPattern(LevelStructure((0, 4)), (0,)))
     assert rep.delta == 0.0

@@ -1,10 +1,20 @@
 """Command-line harness: coherence | certify | recover | allocate | selftest.
 
-Each command reads a JSON config file, overlays the --seed flag, fills
-in documented defaults, and writes CSV/JSON outputs into --out together
-with the resolved config and its hash so every randomized run replays
-byte-for-byte from (config, seed).  Plots are not rendered; the outputs
-are plot-ready tables.
+Every command runs on one skeleton.  ``main`` loads the JSON config and
+calls the command inside its one error handler (``error: ...``, exit 1).
+The command does only its own computation: ``resolve_operator`` gives
+``coherence``, ``certify`` and ``recover`` their operator, levels and
+shared resolved keys, and ``ALLOCATORS`` maps each allocation mode to its
+allocator for ``allocate`` and ``recover``.  ``write_outputs`` is the one
+place outputs reach ``--out``: it stamps the command into the resolved
+config, hashes it, and writes the summary JSON and the tables.  The hash
+lets every randomized run replay byte-for-byte from (config, seed); the
+tables are plot-ready, and no plot is rendered.
+
+A concern of every command belongs in the skeleton: per-stage
+``timings.json`` and warnings captured into ``notes`` wrap the command
+call in ``main`` and reach disk through ``write_outputs``, and
+``--debug`` re-raises from ``main``'s handler.
 """
 from __future__ import annotations
 
@@ -42,6 +52,7 @@ from .sampling import (
     build_measurement,
     draw_scheme,
     haar_interference_weights,
+    k_factor,
 )
 
 _FORMATS = ("csv", "json")
@@ -58,12 +69,9 @@ def _plain(value):
     return value
 
 
-def _canonical(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(config):
-    return hashlib.sha256(_canonical(config).encode()).hexdigest()
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def write_json(path, obj):
@@ -93,28 +101,22 @@ def write_table(path, header, rows, fmt):
 def load_config(path):
     if path is None:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _levels_from(config, key, default):
-    if key in config:
-        return LevelStructure(tuple(config[key]))
-    return default
+    return json.loads(Path(path).read_text())
 
 
 def resolve_operator(config, seed=None):
-    """Build the source matrix named in the config.
+    """Build the source matrix named in the config and its levels.
 
-    Returns (U, default levels, name); the default levels serve as both
-    the sampling and the sparsity levels.
+    Returns (U, sampling levels, sparsity levels, resolved keys).  The
+    levels default to the Fourier--Haar bands, or to a single level for
+    every other operator.  The resolved keys are the ones every operator
+    command records: operator, N and both boundary lists.
     """
     name = config.get("operator", "fourier-haar")
     n = int(config.get("N", 0))
     if name == "fourier-haar":
         u, levels = fourier_haar_matrix(n)
-        return u, levels, name
-    if name == "dft":
+    elif name == "dft":
         u = dft_matrix(n)
     elif name == "haar":
         u = haar_matrix(n).astype(np.complex128)
@@ -124,13 +126,24 @@ def resolve_operator(config, seed=None):
         if seed is None:
             raise ValueError("gaussian operator needs a seed")
         rng = np.random.default_rng(np.random.SeedSequence(int(seed)).spawn(1)[0])
-        u = gaussian_matrix(int(config.get("rows", n)), n, rng).astype(np.complex128)
+        u = gaussian_matrix(n, n, rng).astype(np.complex128)
     elif name == "file":
         u = load_matrix(config["path"])
-        n = u.shape[1]
     else:
         raise ValueError(f"unknown operator {name!r}")
-    return u, LevelStructure.single_level(u.shape[0] if name != "file" else n), name
+    if name != "fourier-haar":
+        levels = LevelStructure.single_level(u.shape[1])
+    sampling, sparsity = (
+        LevelStructure(tuple(config[key])) if key in config else levels
+        for key in ("sampling_boundaries", "sparsity_boundaries")
+    )
+    resolved = {
+        "operator": name,
+        "N": sampling.n,
+        "sampling_boundaries": list(sampling.boundaries),
+        "sparsity_boundaries": list(sparsity.boundaries),
+    }
+    return u, sampling, sparsity, resolved
 
 
 def _require_seed(config, args_seed, command):
@@ -140,70 +153,70 @@ def _require_seed(config, args_seed, command):
     return int(seed)
 
 
-def _ensure_out(args):
+def write_outputs(args, resolved, summary_name, summary, tables=()):
+    """Write a command's summary JSON and its (name, header, rows) tables.
+
+    The summary carries the resolved config, stamped with the command,
+    and the config's hash; tables take the ``--format`` extension.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    resolved["command"] = args.command
+    write_json(out / summary_name,
+               {"config": resolved, "config_hash": config_hash(resolved), **summary})
+    for name, header, rows in tables:
+        write_table(out / f"{name}.{args.format}", header, rows, args.format)
 
 
-def cmd_coherence(args):
-    config = load_config(args.config)
+def _general_allocation(pattern, delta, eps, c, r0):
+    # the general condition takes its local coherences from the Fourier--Haar matrix
+    u, _ = fourier_haar_matrix(pattern.levels.n)
+    profile = CoherenceProfile.from_matrix(u, pattern.levels, pattern.levels)
+    return allocate_uniform(profile, pattern, delta, eps, c, r0=r0)
+
+
+# allocation mode -> allocator(pattern, delta, eps, C, r0).  The lambdas look
+# allocate_haar up in this module at call time, so a wrapper put there sees it.
+ALLOCATORS = {
+    "haar-uniform": lambda pattern, delta, eps, c, r0: allocate_haar(
+        pattern, delta, eps, c, r0=r0, mode="uniform"),
+    "haar-nonuniform": lambda pattern, delta, eps, c, r0: allocate_haar(
+        pattern, delta, eps, c, r0=r0, mode="nonuniform"),
+    "general": _general_allocation,
+}
+
+
+def _allocation_constants(block):
+    """delta, eps and C of an allocation config block, with their defaults."""
+    return (float(block.get("delta", 0.5)), float(block.get("eps", 0.5)),
+            float(block.get("C", 1.0)))
+
+
+def cmd_coherence(config, args):
     seed = args.seed if args.seed is not None else config.get("seed")
-    u, default_levels, name = resolve_operator(config, seed=seed)
-    sampling = _levels_from(config, "sampling_boundaries", default_levels)
-    sparsity = _levels_from(config, "sparsity_boundaries", default_levels)
+    u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
     profile = CoherenceProfile.from_matrix(u, sampling, sparsity)
-
-    resolved = {
-        "command": "coherence",
-        "operator": name,
-        "N": sampling.n,
-        "sampling_boundaries": list(sampling.boundaries),
-        "sparsity_boundaries": list(sparsity.boundaries),
-    }
+    name = resolved["operator"]
     if name == "gaussian":  # only the Gaussian operator depends on the seed
         resolved["seed"] = int(seed)
-    digest = config_hash(resolved)
-    out = _ensure_out(args)
-    write_table(
-        out / f"coherence_profile.{args.format}",
-        ("k", "l", "mu", "mu_tilde"),
-        profile.rows_csv(),
-        args.format,
-    )
-    summary = {
-        "config": resolved,
-        "config_hash": digest,
-        "mu_global": profile.mu_global,
-        "profile": profile.to_dict(),
-    }
+    summary = {"mu_global": profile.mu_global, "profile": profile.to_dict()}
+    tables = [("coherence_profile", ("k", "l", "mu", "mu_tilde"), profile.rows_csv())]
     if name == "fourier-haar":
-        rows = []
-        max_ratio = 0.0
-        for k in range(1, sampling.r + 1):
-            for l in range(1, sparsity.r + 1):
-                bound = 2.0 ** (-k) * 2.0 ** (-abs(k - l))
-                ratio = profile.mu_local[k - 1, l - 1] / bound
-                max_ratio = max(max_ratio, ratio)
-                rows.append((k, l, profile.mu_local[k - 1, l - 1], bound, ratio))
-        write_table(
-            out / f"decay_ratios.{args.format}",
-            ("k", "l", "mu", "bound", "ratio"),
-            rows,
-            args.format,
-        )
-        summary["max_decay_ratio"] = max_ratio
-    write_json(out / "coherence_summary.json", summary)
+        k, l = np.indices(profile.mu_local.shape) + 1
+        bound = 2.0 ** -k * 2.0 ** -np.abs(k - l)
+        ratio = profile.mu_local / bound
+        summary["max_decay_ratio"] = ratio.max()
+        columns = (k, l, profile.mu_local, bound, ratio)
+        rows = zip(*(col.ravel().tolist() for col in columns))
+        tables.append(("decay_ratios", ("k", "l", "mu", "bound", "ratio"), rows))
+    write_outputs(args, resolved, "coherence_summary.json", summary, tables)
     print(f"coherence: mu_global = {profile.mu_global!r} ({name}, N = {sampling.n})")
     return 0
 
 
-def cmd_certify(args):
-    config = load_config(args.config)
+def cmd_certify(config, args):
     seed = _require_seed(config, args.seed, "certify")
-    u, default_levels, name = resolve_operator(config, seed=seed)
-    sampling = _levels_from(config, "sampling_boundaries", default_levels)
-    sparsity = _levels_from(config, "sparsity_boundaries", default_levels)
+    u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
     pattern = SparsityPattern(sparsity, tuple(config["s"]))
     r0 = int(config.get("r0", 0))
     m = tuple(config["m"])
@@ -211,37 +224,14 @@ def cmd_certify(args):
     mc_trials = int(config.get("mc_trials", 2000))
     per_support = bool(config.get("per_support_csv", False))
 
-    ss = np.random.SeedSequence(seed)
-    scheme_ss, mc_ss = ss.spawn(2)
+    scheme_ss, mc_ss = np.random.SeedSequence(seed).spawn(2)
     scheme = draw_scheme(sampling, m, r0=r0, seed=scheme_ss)
     op = build_measurement(u, scheme)
     report = certify_recovery(
         op, pattern, max_supports=max_supports, mc_trials=mc_trials, seed=mc_ss
     )
 
-    resolved = {
-        "command": "certify",
-        "operator": name,
-        "N": sampling.n,
-        "sampling_boundaries": list(sampling.boundaries),
-        "sparsity_boundaries": list(sparsity.boundaries),
-        "m": list(m),
-        "r0": r0,
-        "s": list(pattern.s),
-        "seed": seed,
-        "max_supports": max_supports,
-        "mc_trials": mc_trials,
-    }
-    digest = config_hash(resolved)
-    out = _ensure_out(args)
-    payload = {
-        "config": resolved,
-        "config_hash": digest,
-        "report": report.to_dict(),
-        "scheme": scheme.to_dict(),
-        "K": op.k_factor,
-    }
-    write_json(out / "certification.json", payload)
+    tables = []
     if per_support and report.method == "exact":
         supports = (
             ";".join(map(str, row))
@@ -250,12 +240,13 @@ def cmd_certify(args):
         )
         spectra = zip(supports, report.ricl.lam_min.tolist(), report.ricl.lam_max.tolist())
         rows = [(sup, lmin, lmax, max(lmax - 1.0, 1.0 - lmin)) for sup, lmin, lmax in spectra]
-        write_table(
-            out / f"per_support.{args.format}",
-            ("support", "lambda_min", "lambda_max", "delta"),
-            rows,
-            args.format,
-        )
+        tables.append(("per_support", ("support", "lambda_min", "lambda_max", "delta"), rows))
+    resolved.update(
+        m=list(m), r0=r0, s=list(pattern.s), seed=seed,
+        max_supports=max_supports, mc_trials=mc_trials,
+    )
+    summary = {"report": report.to_dict(), "scheme": scheme.to_dict(), "K": op.k_factor}
+    write_outputs(args, resolved, "certification.json", summary, tables)
     print(
         f"certify: verdict = {report.verdict} "
         f"(delta = {report.delta!r}, threshold = {report.threshold!r}, {report.method})"
@@ -263,27 +254,8 @@ def cmd_certify(args):
     return 0
 
 
-def _resolve_m(config, pattern, r0):
-    if "m" in config:
-        return tuple(config["m"]), None
-    alloc_cfg = config.get("allocation")
-    if alloc_cfg is None:
-        raise ValueError("recover config needs either m or an allocation block")
-    mode = alloc_cfg.get("mode", "haar-uniform")
-    delta = float(alloc_cfg.get("delta", 0.5))
-    eps = float(alloc_cfg.get("eps", 0.5))
-    c = float(alloc_cfg.get("C", 1.0))
-    if mode in ("haar-uniform", "haar-nonuniform"):
-        result = allocate_haar(
-            pattern, delta, eps, c, r0=r0, mode=mode.removeprefix("haar-")
-        )
-    else:
-        raise ValueError(f"unsupported allocation mode {mode!r} in recover")
-    return result.m, result
-
-
-def cmd_recover(args):
-    config = load_config(args.config)
+def _solver_options(config):
+    """The recover config's solver block, validated before any other work."""
     solver_opts = dict(config.get("solver", {}))
     unknown = sorted(set(solver_opts) - {"max_iters", "primal_tol"})
     if unknown:
@@ -296,10 +268,13 @@ def cmd_recover(args):
         tol = solver_opts["primal_tol"]
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
             raise ValueError(f"solver primal_tol must be a finite number > 0, got {tol!r}")
+    return solver_opts
+
+
+def cmd_recover(config, args):
+    solver_opts = _solver_options(config)
     seed = _require_seed(config, args.seed, "recover")
-    u, default_levels, name = resolve_operator(config, seed=seed)
-    sampling = _levels_from(config, "sampling_boundaries", default_levels)
-    sparsity = _levels_from(config, "sparsity_boundaries", default_levels)
+    u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
     pattern = SparsityPattern(sparsity, tuple(config["s"]))
     r0 = int(config.get("r0", 0))
     trials = int(config.get("trials", 10))
@@ -310,10 +285,14 @@ def cmd_recover(args):
     weighted = bool(config.get("weighted", False))
     magnitude_model = config.get("magnitude_model", "unit")
     success_rtol = float(config.get("success_rtol", 1e-4))
+    shared = dict(
+        eta=eta, weights=inverse_sqrt_level_weights(pattern) if weighted else None,
+        solver_opts=solver_opts, success_rtol=success_rtol, magnitude_model=magnitude_model,
+    )
 
-    weights = inverse_sqrt_level_weights(pattern) if weighted else None
-
-    if name == "gaussian":
+    alloc = k = None
+    radius = eta
+    if resolved["operator"] == "gaussian":
         # baseline: a fresh m_total x N Gaussian matrix per trial, no scheme
         if noise_scaling == "sqrtK":
             raise ValueError("the sqrtK noise convention needs a multilevel scheme")
@@ -321,79 +300,59 @@ def cmd_recover(args):
         if m_total < 1:
             raise ValueError("gaussian recover needs m_total (or an m vector to sum)")
         m = (m_total,)
-        alloc = None
-        k_factor = None
-        radius = eta
         result = gaussian_recovery_experiment(
-            sparsity.n, m_total, pattern, trials, seed, eta=eta, radius=radius,
-            weights=weights, solver_opts=solver_opts, success_rtol=success_rtol,
-            magnitude_model=magnitude_model,
+            sparsity.n, m_total, pattern, trials, seed, radius=radius, **shared
         )
     else:
-        m, alloc = _resolve_m(config, pattern, r0)
+        if "m" in config:
+            m = config["m"]
+        elif config.get("allocation") is not None:
+            block = config["allocation"]
+            mode = block.get("mode", "haar-uniform")
+            constants = _allocation_constants(block)
+            # the general mode's coherences are Fourier--Haar's, not the operator's
+            if mode not in ("haar-uniform", "haar-nonuniform"):
+                raise ValueError(f"unsupported allocation mode {mode!r} in recover")
+            alloc = ALLOCATORS[mode](pattern, *constants, r0)
+            m = alloc.m
+        else:
+            raise ValueError("recover config needs either m or an allocation block")
         m = _check_counts(sampling, m, r0)
-        k_factor = max(w / mk for w, mk in zip(sampling.widths, m))
-        radius = eta * math.sqrt(k_factor) if noise_scaling == "sqrtK" else eta
+        k = k_factor(sampling, m)
+        if noise_scaling == "sqrtK":
+            radius = eta * math.sqrt(k)
         result = exact_recovery_experiment(
-            u, sampling, m, r0, pattern, trials, seed, eta=eta, radius=radius,
-            weights=weights, solver_opts=solver_opts, success_rtol=success_rtol,
-            magnitude_model=magnitude_model,
+            u, sampling, m, r0, pattern, trials, seed, radius=radius, **shared
         )
 
-    resolved = {
-        "command": "recover",
-        "operator": name,
-        "N": sampling.n,
-        "sampling_boundaries": list(sampling.boundaries),
-        "sparsity_boundaries": list(sparsity.boundaries),
-        "m": list(m),
-        "r0": r0,
-        "s": list(pattern.s),
-        "seed": seed,
-        "trials": trials,
-        "eta": eta,
-        "noise_scaling": noise_scaling,
-        "radius": radius,
-        "weighted": weighted,
-        "solver": solver_opts,
-        "magnitude_model": magnitude_model,
-        "success_rtol": success_rtol,
-    }
-    digest = config_hash(resolved)
-    out = _ensure_out(args)
     header = (
         "trial", "seed", "m", "err2", "err1", "rel_err", "success", "converged",
         "iterations", "gap", "bound_ratio_l1", "bound_ratio_l2",
     )
     rows = [
-        (
-            rec["trial"], seed, ";".join(str(v) for v in rec["m"]), rec["err2"],
-            rec["err1"], rec["rel_err"], rec["success"], rec["converged"],
-            rec["iterations"], rec["gap"], rec["bound_ratio_l1"], rec["bound_ratio_l2"],
-        )
+        (rec["trial"], seed, ";".join(str(v) for v in rec["m"]), *(rec[h] for h in header[3:]))
         for rec in result.records
     ]
-    write_table(out / f"trials.{args.format}", header, rows, args.format)
+    resolved.update(
+        m=list(m), r0=r0, s=list(pattern.s), seed=seed, trials=trials, eta=eta,
+        noise_scaling=noise_scaling, radius=radius, weighted=weighted, solver=solver_opts,
+        magnitude_model=magnitude_model, success_rtol=success_rtol,
+    )
     summary = {
-        "config": resolved,
-        "config_hash": digest,
         "success_rate": result.success_rate,
         "unconverged_trials": sum(1 for rec in result.records if not rec["converged"]),
-        "K": k_factor,
+        "K": k,
     }
     if alloc is not None:
         summary["allocation"] = alloc.to_dict()
-    write_json(out / "summary.json", summary)
+    write_outputs(args, resolved, "summary.json", summary, [("trials", header, rows)])
     print(f"recover: success_rate = {result.success_rate!r} over {trials} trials")
     return 0
 
 
-def cmd_allocate(args):
-    config = load_config(args.config)
+def cmd_allocate(config, args):
     s = tuple(config["s"])
-    delta = float(config.get("delta", 0.5))
-    eps = float(config.get("eps", 0.5))
-    c = float(config.get("C", 1.0))
+    delta, eps, c = _allocation_constants(config)
     r0 = int(config.get("r0", 0))
     modes = list(config.get("modes", ["haar-uniform", "haar-nonuniform"]))
     operator = config.get("operator", "fourier-haar")
@@ -404,63 +363,33 @@ def cmd_allocate(args):
     pattern = SparsityPattern(levels, s)
     results = {}
     for mode in modes:
-        if mode == "haar-uniform":
-            results[mode] = allocate_haar(pattern, delta, eps, c, r0=r0, mode="uniform")
-        elif mode == "haar-nonuniform":
-            results[mode] = allocate_haar(pattern, delta, eps, c, r0=r0, mode="nonuniform")
-        elif mode == "general":
-            u, _ = fourier_haar_matrix(levels.n)
-            profile = CoherenceProfile.from_matrix(u, levels, levels)
-            results[mode] = allocate_uniform(profile, pattern, delta, eps, c, r0=r0)
-        else:
+        if mode not in tuple(ALLOCATORS):  # compared, not hashed: a mode is any JSON value
             raise ValueError(f"unknown allocation mode {mode!r}")
+        results[mode] = ALLOCATORS[mode](pattern, delta, eps, c, r0)
 
-    resolved = {
-        "command": "allocate",
-        "s": list(s),
-        "delta": delta,
-        "eps": eps,
-        "C": c,
-        "r0": r0,
-        "modes": modes,
-    }
-    digest = config_hash(resolved)
-    out = _ensure_out(args)
-
-    kernels = {
-        "haar-uniform": haar_interference_weights(s, "uniform", r0),
-        "haar-nonuniform": haar_interference_weights(s, "nonuniform", r0),
-    }
-    header = ["level", "width", "s"]
+    columns = [("level", range(1, levels.r + 1)), ("width", levels.widths), ("s", s)]
     for mode in modes:
-        header += [f"m[{mode}]", f"clamped[{mode}]"]
-        if mode in kernels:
-            header.append(f"kernel[{mode}]")
-    rows = []
-    for k in range(levels.r):
-        row = [k + 1, levels.widths[k], s[k]]
-        for mode in modes:
-            res = results[mode]
-            clamped = res.clamped_low[k] or res.clamped_high[k]
-            row += [res.m[k], clamped]
-            if mode in kernels:
-                row.append(kernels[mode][k])
-        rows.append(tuple(row))
-    write_table(out / f"allocation.{args.format}", tuple(header), rows, args.format)
+        res = results[mode]
+        clamped = [lo or hi for lo, hi in zip(res.clamped_low, res.clamped_high)]
+        columns += [(f"m[{mode}]", res.m), (f"clamped[{mode}]", clamped)]
+        if mode != "general":
+            kernel = haar_interference_weights(s, mode.removeprefix("haar-"), r0)
+            columns.append((f"kernel[{mode}]", kernel))
+    header, values = zip(*columns)
+    rows = zip(*values)
+    resolved = {"s": list(s), "delta": delta, "eps": eps, "C": c, "r0": r0, "modes": modes}
     summary = {
-        "config": resolved,
-        "config_hash": digest,
         "results": {mode: res.to_dict() for mode, res in results.items()},
         "totals": {mode: res.total for mode, res in results.items()},
-        "K": {mode: res.k_factor(levels) for mode, res in results.items()},
+        "K": {mode: k_factor(levels, res.m) for mode, res in results.items()},
     }
-    write_json(out / "summary.json", summary)
+    write_outputs(args, resolved, "summary.json", summary, [("allocation", header, rows)])
     for mode in modes:
         print(f"allocate[{mode}]: m = {list(results[mode].m)} (total {results[mode].total})")
     return 0
 
 
-def cmd_selftest(args):
+def cmd_selftest(config, args):
     from .operators import is_isometry
 
     failures = 0
@@ -508,8 +437,8 @@ def cmd_selftest(args):
     check("scheme drawing deterministic", s1 == s2)
 
     if args.out is not None:
-        out = _ensure_out(args)
-        write_json(out / "selftest.json", {"checks": [[c, ok] for c, ok in checks]})
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        write_json(Path(args.out) / "selftest.json", {"checks": [[c, ok] for c, ok in checks]})
     return 1 if failures else 0
 
 
@@ -541,7 +470,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(load_config(args.config), args)
     except Exception as exc:  # surface config errors as exit code 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -55,6 +55,7 @@ class SamplingScheme:
     def __post_init__(self):
         if len(self.m) != self.levels.r or len(self.draws) != self.levels.r:
             raise LevelError("scheme vectors must have one entry per level")
+        _check_counts(self.levels, self.m, self.r0)
         for k in range(1, self.levels.r + 1):
             lo, hi = self.levels.level_range(k)
             mk = self.m[k - 1]
@@ -106,11 +107,11 @@ def _as_seed_sequence(seed):
     return np.random.SeedSequence(int(seed))
 
 
-def _check_counts(levels, m, r0=0, allow_empty=False):
+def _check_counts(levels, m, r0=0):
     """Validate per-level sample counts against the levels and r0.
 
     Levels 1..r0 must be requested at full width; the others need
-    m_k >= 1 (m_k = 0 only with ``allow_empty``).  Returns m as ints.
+    m_k >= 1.  Returns m as ints.
     """
     m = tuple(int(v) for v in m)
     if len(m) != levels.r:
@@ -125,14 +126,12 @@ def _check_counts(levels, m, r0=0, allow_empty=False):
                 f"width = {widths[k - 1]}"
             )
     for k in range(r0 + 1, levels.r + 1):
-        if m[k - 1] < 1 and not allow_empty:
-            raise LevelError(f"level {k}: m_k must be >= 1 (or pass allow_empty)")
-        if m[k - 1] < 0:
-            raise LevelError(f"level {k}: negative m_k")
+        if m[k - 1] < 1:
+            raise LevelError(f"level {k}: m_k must be >= 1")
     return m
 
 
-def draw_scheme(levels, m, r0=0, seed=0, allow_empty=False):
+def draw_scheme(levels, m, r0=0, seed=0):
     """Draw an (N, m)-multilevel scheme, saturating the first r0 levels.
 
     Levels 1..r0 take every index of their range deterministically and
@@ -141,7 +140,7 @@ def draw_scheme(levels, m, r0=0, seed=0, allow_empty=False):
     independently derived random stream, so the draws for level k do not
     depend on the other levels' counts.
     """
-    m = _check_counts(levels, m, r0, allow_empty)
+    m = _check_counts(levels, m, r0)
     ss = _as_seed_sequence(seed)
     streams = ss.spawn(levels.r)
     draws = []
@@ -166,13 +165,14 @@ def draw_scheme(levels, m, r0=0, seed=0, allow_empty=False):
     )
 
 
+def k_factor(levels, m):
+    """K = max_k (width_k / m_k), the worst inverse sampling density."""
+    return max(w / mk for w, mk in zip(levels.widths, m))
+
+
 @dataclass(frozen=True)
 class MeasurementOperator:
-    """Row-subsampled isometry with 1/sqrt(p_k) level scalings.
-
-    ``k_factor`` is K = max_k (width_k / m_k) over nonempty levels, the
-    worst inverse sampling density.
-    """
+    """Row-subsampled isometry with 1/sqrt(p_k) level scalings and its K."""
 
     a: np.ndarray
     scheme: SamplingScheme
@@ -192,18 +192,11 @@ def build_measurement(u, scheme):
         raise ValueError(
             f"scheme levels end at {scheme.levels.n}, matrix is {u.shape[0]} x {u.shape[1]}"
         )
-    p = scheme.densities()
-    blocks = []
-    for k in range(1, scheme.levels.r + 1):
-        dk = scheme.draws[k - 1]
-        if not dk:
-            continue
-        rows = np.asarray(dk, dtype=np.intp) - 1
-        blocks.append(u[rows] / math.sqrt(p[k - 1]))
-    a = np.vstack(blocks) if blocks else np.zeros((0, u.shape[1]), dtype=u.dtype)
-    nonempty = [wk / mk for mk, wk in zip(scheme.m, scheme.levels.widths) if mk > 0]
-    k_factor = max(nonempty) if nonempty else math.inf
-    return MeasurementOperator(a=a, scheme=scheme, k_factor=float(k_factor))
+    a = np.vstack([
+        u[np.asarray(dk, dtype=np.intp) - 1] / math.sqrt(pk)
+        for dk, pk in zip(scheme.draws, scheme.densities())
+    ])
+    return MeasurementOperator(a=a, scheme=scheme, k_factor=k_factor(scheme.levels, scheme.m))
 
 
 @dataclass(frozen=True)
@@ -231,9 +224,6 @@ class AllocationResult:
     def total(self):
         return sum(self.m)
 
-    def k_factor(self, levels):
-        return max(w / mk for w, mk in zip(levels.widths, self.m))
-
     def to_dict(self):
         return {
             "m": list(self.m),
@@ -257,48 +247,35 @@ def _check_alloc_params(delta, eps, c):
         raise ValueError(f"C must be positive, got {c}")
 
 
-def _fixed_point_counts(base, widths, r0, log_factor, mode, notes, max_iterations=20):
+def _fixed_point_counts(base, widths, r0, log_factor, mode, notes):
     """Smallest fixed point of m_k = clamp(ceil(base_k * log_factor(arg))).
 
-    ``arg`` is the grand total of m when r0 = 0, and the unsaturated
-    total otherwise.  Iterating upward from the all-floor vector is
+    ``arg`` is the unsaturated total sum_{k > r0} m_k (the grand total
+    when r0 = 0).  Iterating upward from the all-floor vector is
     monotone (the formula is non-decreasing in the log argument) and
     bounded by the widths, hence reaches the least fixed point.
     """
     r = len(widths)
     m = [widths[k] if k < r0 else 1 for k in range(r)]
-
-    def step(current):
-        arg = sum(current[k] for k in range(r0, r)) if r0 > 0 else sum(current)
+    for it in range(1, 21):
+        arg = sum(m[r0:])
         fac = log_factor(max(arg, 1))
-        out = list(current)
-        raw = [float("nan")] * r
-        for k in range(r0, r):
-            raw[k] = base[k] * fac
-            out[k] = min(max(int(math.ceil(raw[k])), 1), widths[k])
-        return out, raw, arg
-
-    raw = [float("nan")] * r
-    arg = 0
-    for it in range(1, max_iterations + 1):
-        new, raw, arg = step(m)
+        raw = [float("nan")] * r0 + [base[k] * fac for k in range(r0, r)]
+        new = m[:r0] + [min(max(math.ceil(raw[k]), 1), widths[k]) for k in range(r0, r)]
         if new == m:
-            clamp_lo = tuple(k >= r0 and math.ceil(raw[k]) < 1 for k in range(r))
-            clamp_hi = tuple(k >= r0 and math.ceil(raw[k]) > widths[k] for k in range(r))
-            final_arg = sum(m[r0:]) if r0 > 0 else sum(m)
             return AllocationResult(
                 m=tuple(m),
                 raw=tuple(raw),
-                clamped_low=clamp_lo,
-                clamped_high=clamp_hi,
+                clamped_low=tuple(k >= r0 and math.ceil(raw[k]) < 1 for k in range(r)),
+                clamped_high=tuple(k >= r0 and math.ceil(raw[k]) > widths[k] for k in range(r)),
                 iterations=it,
-                log_arg=final_arg,
+                log_arg=arg,
                 r0=r0,
                 mode=mode,
                 notes=tuple(notes),
             )
         m = new
-    raise RuntimeError(f"allocation fixed point not stable after {max_iterations} iterations")
+    raise RuntimeError("allocation fixed point not stable after 20 iterations")
 
 
 def allocate_uniform(coh, s, delta, eps, c, r0=0):

@@ -295,3 +295,45 @@ def test_allocate_general_mode_rejects_other_operators(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "fourier-haar operator only, got 'dft'" in err
     assert "different sparsity levels" not in err
+
+
+# The four replay configs of test_acceptance.py::test_c10_cli_determinism, each
+# with the config hash and the file set it must keep writing.  A resolved key
+# that is dropped, renamed or retyped changes the hash.
+_PINNED_RUNS = {
+    "certify": (
+        {"operator": "fourier-haar", "N": 16, "m": [2, 2, 3, 6], "r0": 2,
+         "s": [1, 1, 1, 1], "seed": 7},
+        "11d6c9c4e6d692fd19424b9a6b8332607a92bfdbb1ba8ff23b3f629bdda6712d",
+        "certification.json", {"certification.json"},
+    ),
+    "recover": (
+        {"operator": "dft", "N": 16, "sampling_boundaries": [0, 8, 16],
+         "sparsity_boundaries": [0, 8, 16], "m": [8, 10], "r0": 1, "s": [1, 1],
+         "trials": 5, "seed": 3, "solver": {"max_iters": 20000, "primal_tol": 1e-6}},
+        "4a36765ad4f8202937c87bb0c6bdf2fada9022ba91b44841b42d706a63f4cf86",
+        "summary.json", {"summary.json", "trials.csv"},
+    ),
+    "coherence": (
+        {"operator": "fourier-haar", "N": 32},
+        "f8131e88d705d5f6cd9044da0f7457ce420489ae39f359a2a656a1cc643d702a",
+        "coherence_summary.json",
+        {"coherence_profile.csv", "coherence_summary.json", "decay_ratios.csv"},
+    ),
+    "allocate": (
+        {"s": [1, 1, 2, 2], "delta": 0.5, "eps": 0.5, "C": 0.001,
+         "modes": ["haar-uniform", "haar-nonuniform"]},
+        "b14b00cdebaf4e35341075bafae8475253097043d0cb905defc0aed69dfd1fd4",
+        "summary.json", {"allocation.csv", "summary.json"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_RUNS))
+def test_resolved_config_hash_and_files_pinned(tmp_path, command):
+    payload, digest, summary_name, files = _PINNED_RUNS[command]
+    cfg = _write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == files
+    assert json.loads((out / summary_name).read_text())["config_hash"] == digest

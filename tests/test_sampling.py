@@ -87,7 +87,14 @@ def test_draw_scheme_errors():
         draw_scheme(lv, (1, 2), r0=1, seed=0)
     with pytest.raises(LevelError, match="m_k must be >= 1"):
         draw_scheme(lv, (2, 0), r0=1, seed=0)
-    draw_scheme(lv, (2, 0), r0=1, seed=0, allow_empty=True)
+
+
+def test_loaded_scheme_with_empty_level_fails():
+    # a scheme file is checked like a draw: m_k = 0 fails before any K is formed
+    d = draw_scheme(LevelStructure((0, 2, 4, 8)), (2, 1, 2), r0=1, seed=5).to_dict()
+    d["m"][1], d["draws"][1] = 0, []
+    with pytest.raises(LevelError, match="level 2: m_k must be >= 1"):
+        SamplingScheme.from_dict(d)
 
 
 def test_scheme_serialization_roundtrip():

@@ -4,12 +4,13 @@ Every command runs on one skeleton.  ``main`` loads the JSON config and
 calls the command inside its one error handler (``error: ...``, exit 1).
 The command does only its own computation: ``resolve_operator`` gives
 ``coherence``, ``certify`` and ``recover`` their operator, levels and
-shared resolved keys, and ``ALLOCATORS`` maps each allocation mode to its
-allocator for ``allocate`` and ``recover``.  ``write_outputs`` is the one
-place outputs reach ``--out``: it stamps the command into the resolved
-config, hashes it, and writes the summary JSON and the tables.  The hash
-lets every randomized run replay byte-for-byte from (config, seed); the
-tables are plot-ready, and no plot is rendered.
+shared resolved keys (the Gaussian ``recover`` baseline, which draws a
+matrix per trial, takes only ``resolve_levels``), and ``ALLOCATORS`` maps
+each allocation mode to its allocator for ``allocate`` and ``recover``.
+``write_outputs`` is the one place outputs reach ``--out``: it stamps the
+command into the resolved config, hashes it, and writes the summary JSON
+and the tables.  The hash lets every randomized run replay byte-for-byte
+from (config, seed); the tables are plot-ready, and no plot is rendered.
 
 A concern of every command belongs in the skeleton: per-stage
 ``timings.json`` and warnings captured into ``notes`` wrap the command
@@ -74,8 +75,21 @@ def config_hash(config):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _finite(obj):
+    """``obj`` with non-finite floats as "nan", "inf" and "-inf", as the CSV writes them."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Strict JSON: a non-finite float is written as a string, never as NaN or Infinity."""
+    text = json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _cell(value):
@@ -109,8 +123,7 @@ def resolve_operator(config, seed=None):
 
     Returns (U, sampling levels, sparsity levels, resolved keys).  The
     levels default to the Fourier--Haar bands, or to a single level for
-    every other operator.  The resolved keys are the ones every operator
-    command records: operator, N and both boundary lists.
+    every other operator; see ``resolve_levels``.
     """
     name = config.get("operator", "fourier-haar")
     n = int(config.get("N", 0))
@@ -133,17 +146,24 @@ def resolve_operator(config, seed=None):
         raise ValueError(f"unknown operator {name!r}")
     if name != "fourier-haar":
         levels = LevelStructure.single_level(u.shape[1])
+    return (u, *resolve_levels(config, levels))
+
+
+def resolve_levels(config, levels):
+    """Sampling and sparsity levels, each from its config boundaries or else
+    ``levels``, and the keys every operator command records: operator, N and
+    both boundary lists."""
     sampling, sparsity = (
         LevelStructure(tuple(config[key])) if key in config else levels
         for key in ("sampling_boundaries", "sparsity_boundaries")
     )
     resolved = {
-        "operator": name,
+        "operator": config.get("operator", "fourier-haar"),
         "N": sampling.n,
         "sampling_boundaries": list(sampling.boundaries),
         "sparsity_boundaries": list(sparsity.boundaries),
     }
-    return u, sampling, sparsity, resolved
+    return sampling, sparsity, resolved
 
 
 def _require_seed(config, args_seed, command):
@@ -274,7 +294,11 @@ def _solver_options(config):
 def cmd_recover(config, args):
     solver_opts = _solver_options(config)
     seed = _require_seed(config, args.seed, "recover")
-    u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
+    if config.get("operator") == "gaussian":  # the baseline draws its own matrix per trial
+        sampling, sparsity, resolved = resolve_levels(
+            config, LevelStructure.single_level(int(config.get("N", 0))))
+    else:
+        u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
     pattern = SparsityPattern(sparsity, tuple(config["s"]))
     r0 = int(config.get("r0", 0))
     trials = int(config.get("trials", 10))

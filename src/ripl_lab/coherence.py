@@ -133,19 +133,6 @@ class RelativeSparsityReport:
     certificates: tuple
     upper_bound: np.ndarray
 
-    def to_dict(self):
-        return {
-            "values": self.values.tolist(),
-            "exact": self.exact,
-            "supports_examined": self.supports_examined,
-            "evaluations": self.evaluations,
-            "upper_bound": self.upper_bound.tolist(),
-            "certificates": [
-                {"support": list(sup), "phases": [str(p) for p in ph]}
-                for sup, ph in self.certificates
-            ],
-        }
-
 
 def _analytic_upper_bound(absu, sampling, sparsity, s):
     ub = np.empty(sampling.r)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .levels import LevelStructure, best_approx_in_levels, random_sparse_vector
 from .operators import gaussian_matrix
-from .sampling import MeasurementOperator, _as_seed_sequence, build_measurement, draw_scheme
+from .sampling import _as_seed_sequence, build_measurement, draw_scheme
 
 __all__ = [
     "QcbpProblem",
@@ -77,7 +77,7 @@ class QcbpProblem:
     weights: tuple | None = None
 
     def __post_init__(self):
-        a = self.a.a if isinstance(self.a, MeasurementOperator) else np.asarray(self.a)
+        a = np.asarray(self.a)
         object.__setattr__(self, "a", a)
         y = np.asarray(self.y, dtype=np.complex128).ravel()
         object.__setattr__(self, "y", y)

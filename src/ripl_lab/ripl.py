@@ -250,7 +250,7 @@ class CertificationReport:
             "verdict": self.verdict,
             "delta": self.delta,
             "threshold": self.threshold,
-            "rho": self.rho if math.isfinite(self.rho) else "inf",
+            "rho": self.rho,
             "method": self.method,
             "doubled_s": list(self.doubled_pattern.s),
             "doubling_clamped": list(self.doubling_clamped),

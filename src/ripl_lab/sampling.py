@@ -7,11 +7,22 @@ selected rows of an isometry scaled by 1/sqrt(p_k) with
 p_k = m_k / (N_k - N_{k-1}), which makes A* A an unbiased estimate of
 the identity.
 
-Also implements the measurement-allocation calculators: the general
-local-coherence condition, its closed-form specialisations for the
-Fourier--Haar system (uniform kernel 2^-|k-l| and nonuniform kernel
-2^-|k-l|/2), and the feasibility check of the nonuniform
-relative-sparsity condition.  All allocators take an explicit user
+Also implements the measurement allocation, one formula
+m_k = ceil(scale * w_k * (a log(2m~) + b)), clamped to [1, width_k] and
+solved as a fixed point in the total m~ inside the log, with one row per
+mode (s the total sparsity, r the level count):
+
+- "uniform-general", the general local-coherence condition:
+  scale = C delta^-2, w_k = width_k sum_l mu_{k,l} s_l,
+  a = r log(2N) log^2(2s), b = log(1/eps);
+- "haar-uniform", its Fourier--Haar corollary: scale = C delta^-2,
+  w_k the 2^-|k-l| kernel over bands l > r0, a = log^2(2N) log^2(2s),
+  b = log(1/eps);
+- "haar-nonuniform", the nonuniform comparison condition: scale = C,
+  w_k the 2^-|k-l|/2 kernel, a = 0, b = log(s/eps) log(N).
+
+The module also holds the feasibility check of the nonuniform
+relative-sparsity condition.  Every allocation takes an explicit user
 constant C: the underlying sufficient conditions hold only up to
 unspecified absolute constants, so guarantees are faithful only for
 sufficiently large C.
@@ -67,10 +78,6 @@ class SamplingScheme:
             if self.saturated[k - 1]:
                 if dk != tuple(range(lo, hi + 1)):
                     raise LevelError(f"level {k} marked saturated but draws differ")
-
-    @property
-    def total(self):
-        return sum(self.m)
 
     def densities(self):
         """p_k = m_k / level width (1.0 on saturated levels)."""
@@ -178,10 +185,6 @@ class MeasurementOperator:
     scheme: SamplingScheme
     k_factor: float
 
-    @property
-    def shape(self):
-        return self.a.shape
-
 
 def build_measurement(u, scheme):
     """Assemble the scaled measurement matrix from an isometry and a scheme."""
@@ -238,36 +241,55 @@ class AllocationResult:
         }
 
 
-def _check_alloc_params(delta, eps, c):
+# mode -> (Fourier--Haar kernel decay, kernel sums over bands l > r0 only, row), where
+# row(C, delta, eps, r, N, s) gives (scale, a, b) of the allocation formula
+_MODES = {
+    "uniform-general": (None, None, lambda c, delta, eps, r, n, s: (
+        c * delta**-2, r * math.log(2.0 * n) * math.log(2.0 * s) ** 2, math.log(1.0 / eps))),
+    "haar-uniform": (0.5, True, lambda c, delta, eps, r, n, s: (
+        c * delta**-2, math.log(2.0 * n) ** 2 * math.log(2.0 * s) ** 2, math.log(1.0 / eps))),
+    "haar-nonuniform": (1.0 / math.sqrt(2.0), False, lambda c, delta, eps, r, n, s: (
+        c, 0.0, math.log(s / eps) * math.log(n))),
+}
+
+
+def _allocate(mode, levels, total_s, weights, delta, eps, c, r0, notes=()):
+    """Least fixed point of m_k = clamp(ceil(scale w_k (a log(2 m~) + b))).
+
+    m~ is the unsaturated total sum_{k > r0} m_k (the grand total when
+    r0 = 0); the first r0 levels are taken in full.  Iterating upward
+    from the all-floor vector is monotone (the formula is non-decreasing
+    in m~) and bounded by the widths, hence reaches the least fixed
+    point.  Each note is also issued as a RuntimeWarning.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if c <= 0.0:
         raise ValueError(f"C must be positive, got {c}")
-
-
-def _fixed_point_counts(base, widths, r0, log_factor, mode, notes):
-    """Smallest fixed point of m_k = clamp(ceil(base_k * log_factor(arg))).
-
-    ``arg`` is the unsaturated total sum_{k > r0} m_k (the grand total
-    when r0 = 0).  Iterating upward from the all-floor vector is
-    monotone (the formula is non-decreasing in the log argument) and
-    bounded by the widths, hence reaches the least fixed point.
-    """
-    r = len(widths)
-    m = [widths[k] if k < r0 else 1 for k in range(r)]
+    r = levels.r
+    if not 0 <= r0 <= r:
+        raise ValueError(f"r0 = {r0} out of range 0..{r}")
+    if total_s < 1:
+        raise ValueError("allocation needs at least one nonzero sparsity")
+    for note in notes:
+        warnings.warn(note, RuntimeWarning, stacklevel=3)
+    scale, a, b = _MODES[mode][2](c, delta, eps, r, levels.n, total_s)
+    widths = levels.widths
+    m = list(widths[:r0]) + [1] * (r - r0)
     for it in range(1, 21):
         arg = sum(m[r0:])
-        fac = log_factor(max(arg, 1))
-        raw = [float("nan")] * r0 + [base[k] * fac for k in range(r0, r)]
-        new = m[:r0] + [min(max(math.ceil(raw[k]), 1), widths[k]) for k in range(r0, r)]
+        log_term = a * math.log(2.0 * max(arg, 1)) + b
+        raw = [math.nan] * r0 + [scale * w * log_term for w in weights[r0:]]
+        ceil = [math.ceil(v) for v in raw[r0:]]
+        new = m[:r0] + [min(max(v, 1), wk) for v, wk in zip(ceil, widths[r0:])]
         if new == m:
             return AllocationResult(
                 m=tuple(m),
                 raw=tuple(raw),
-                clamped_low=tuple(k >= r0 and math.ceil(raw[k]) < 1 for k in range(r)),
-                clamped_high=tuple(k >= r0 and math.ceil(raw[k]) > widths[k] for k in range(r)),
+                clamped_low=(False,) * r0 + tuple(v < 1 for v in ceil),
+                clamped_high=(False,) * r0 + tuple(v > wk for v, wk in zip(ceil, widths[r0:])),
                 iterations=it,
                 log_arg=arg,
                 r0=r0,
@@ -281,41 +303,17 @@ def _fixed_point_counts(base, widths, r0, log_factor, mode, notes):
 def allocate_uniform(coh, s, delta, eps, c, r0=0):
     """Per-level counts from the general local-coherence condition.
 
-    m_k = ceil(C * delta^-2 * (N_k - N_{k-1}) * (sum_l mu_{k,l} s_l)
-               * (r log(2m) log(2N) log^2(2s) + log(1/eps))),
-    solved as a fixed point in the total m appearing inside the log (the
-    unsaturated total m~ when r0 > 0), each count clamped to
-    [1, level width] and the first r0 levels taken in full.
+    The "uniform-general" row of the allocation formula, with
+    w_k = (N_k - N_{k-1}) sum_l mu_{k,l} s_l on the profile's sampling
+    levels and the pattern ``s`` on its sparsity levels.
     """
-    if not isinstance(coh, CoherenceProfile):
-        raise TypeError("allocate_uniform needs a CoherenceProfile")
-    pattern = s if isinstance(s, SparsityPattern) else SparsityPattern(coh.sparsity, tuple(s))
-    if pattern.levels.boundaries != coh.sparsity.boundaries:
+    if not isinstance(coh, CoherenceProfile) or not isinstance(s, SparsityPattern):
+        raise TypeError("allocate_uniform needs a CoherenceProfile and a SparsityPattern")
+    if s.levels.boundaries != coh.sparsity.boundaries:
         raise ValueError("pattern bound to different sparsity levels than the profile")
-    _check_alloc_params(delta, eps, c)
-    levels = coh.sampling
-    r = levels.r
-    if not 0 <= r0 <= r:
-        raise ValueError(f"r0 = {r0} out of range 0..{r}")
-    total_s = pattern.total
-    if total_s < 1:
-        raise ValueError("allocation needs at least one nonzero sparsity")
-
-    widths = levels.widths
-    n = levels.n
-    svec = np.asarray(pattern.s, dtype=float)
-    interference = coh.mu_local @ svec  # sum_l mu_{k,l} s_l
-    base = [
-        c * delta**-2 * widths[k] * float(interference[k]) for k in range(r)
-    ]
-    log_tail = math.log(1.0 / eps)
-    ls = math.log(2.0 * total_s) ** 2
-    ln = math.log(2.0 * n)
-
-    def log_factor(arg):
-        return r * math.log(2.0 * arg) * ln * ls + log_tail
-
-    return _fixed_point_counts(base, widths, r0, log_factor, mode="uniform-general", notes=())
+    interference = coh.mu_local @ np.asarray(s.s, dtype=float)  # sum_l mu_{k,l} s_l
+    weights = [wk * float(ik) for wk, ik in zip(coh.sampling.widths, interference)]
+    return _allocate("uniform-general", coh.sampling, s.total, weights, delta, eps, c, r0)
 
 
 def haar_interference_weights(s, mode="uniform", r0=0):
@@ -326,20 +324,15 @@ def haar_interference_weights(s, mode="uniform", r0=0):
     kernel restricts the interference sum to bands l > r0, matching the
     fully-sampled variant of the condition.
     """
+    decay, from_r0, _ = _MODES.get(f"haar-{mode}", (None,) * 3)
+    if decay is None:
+        raise ValueError(f"unknown mode {mode!r}")
     s = tuple(int(v) for v in s)
     r = len(s)
-    if mode == "uniform":
-        decay = 0.5
-        lo = r0
-    elif mode == "nonuniform":
-        decay = 1.0 / math.sqrt(2.0)
-        lo = 0
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     weights = []
     for k in range(r):
         w = float(s[k])
-        for l in range(lo, r):
+        for l in range(r0 if from_r0 else 0, r):
             if l != k:
                 w += decay ** abs(k - l) * s[l]
         weights.append(w)
@@ -349,74 +342,28 @@ def haar_interference_weights(s, mode="uniform", r0=0):
 def allocate_haar(s, delta, eps, c, r0=0, mode="uniform"):
     """Per-band Fourier sample counts for the Fourier--Haar system.
 
-    In "uniform" mode the closed-form local-coherence condition is used:
-    m_k = ceil(C * delta^-2 * w_k * (log(2m~) log^2(2N) log^2(2s) + log(1/eps)))
-    with the 2^-|k-l| interference kernel, solved as a fixed point in the
-    total inside the log.  When r0 > 0 the first r0 bands are taken in
-    full; this variant is valid under the hypothesis N_{r0} <= s_{r0+1}
-    (the saturated bands must not out-measure the first free sparsity),
-    which is checked and warned about when violated.
+    ``mode`` "uniform" is the "haar-uniform" row of the allocation
+    formula, the closed-form local-coherence condition with the
+    2^-|k-l| kernel.  When r0 > 0 the first r0 bands are taken in full;
+    this variant is valid under the hypothesis N_{r0} <= s_{r0+1} (the
+    saturated bands must not out-measure the first free sparsity), which
+    is checked and warned about when violated.
 
-    In "nonuniform" mode the comparison condition
-    m_k = ceil(C * w_k * log(s/eps) * log(N)) is used with the larger
+    ``mode`` "nonuniform" is the "haar-nonuniform" row, the comparison
+    condition m_k = ceil(C * w_k * log(s/eps) * log(N)) with the larger
     2^-|k-l|/2 kernel; it involves no delta (ignored) and no implicit
     total.
     """
-    pattern = s if isinstance(s, SparsityPattern) else None
-    if pattern is not None:
-        levels = pattern.levels
-        expected = LevelStructure.dyadic(len(pattern.s))
-        if levels.boundaries != expected.boundaries:
-            raise LevelError("Fourier--Haar allocation needs dyadic levels N_k = 2^k")
-        s = pattern.s
-    else:
-        s = tuple(int(v) for v in s)
-        levels = LevelStructure.dyadic(len(s))
-        pattern = SparsityPattern(levels, s)
-    _check_alloc_params(delta, eps, c)
-    r = levels.r
-    if not 0 <= r0 <= r:
-        raise ValueError(f"r0 = {r0} out of range 0..{r}")
-    total_s = pattern.total
-    if total_s < 1:
-        raise ValueError("allocation needs at least one nonzero sparsity")
-    widths = levels.widths
-    n = levels.n
-
-    notes = []
-    if mode == "uniform":
-        if r0 >= 1:
-            if r0 < r and levels.boundaries[r0] > s[r0]:
-                msg = (
-                    f"hypothesis N_r0 <= s_(r0+1) violated: "
-                    f"{levels.boundaries[r0]} > {s[r0]}"
-                )
-                warnings.warn(msg, RuntimeWarning, stacklevel=2)
-                notes.append(msg)
-        weights = haar_interference_weights(s, "uniform", r0)
-        base = [c * delta**-2 * weights[k] for k in range(r)]
-        log_tail = math.log(1.0 / eps)
-        ls = math.log(2.0 * total_s) ** 2
-        ln2 = math.log(2.0 * n) ** 2
-
-        def log_factor(arg):
-            return math.log(2.0 * arg) * ln2 * ls + log_tail
-
-        return _fixed_point_counts(
-            base, widths, r0, log_factor, mode="haar-uniform", notes=notes
-        )
-    if mode == "nonuniform":
-        weights = haar_interference_weights(s, "nonuniform", r0)
-        fac = math.log(total_s / eps) * math.log(n)
-        base = [c * weights[k] for k in range(r)]
-
-        def log_factor(arg):
-            return fac
-
-        return _fixed_point_counts(
-            base, widths, r0, log_factor, mode="haar-nonuniform", notes=notes
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    if not isinstance(s, SparsityPattern):
+        s = SparsityPattern(LevelStructure.dyadic(len(s)), s)
+    levels = s.levels
+    if levels.boundaries != LevelStructure.dyadic(levels.r).boundaries:
+        raise LevelError("Fourier--Haar allocation needs dyadic levels N_k = 2^k")
+    weights = haar_interference_weights(s.s, mode, r0)
+    notes = ()
+    if mode == "uniform" and 1 <= r0 < levels.r and levels.boundaries[r0] > s.s[r0]:
+        notes = (f"hypothesis N_r0 <= s_(r0+1) violated: {levels.boundaries[r0]} > {s.s[r0]}",)
+    return _allocate(f"haar-{mode}", levels, s.total, weights, delta, eps, c, r0, notes)
 
 
 @dataclass(frozen=True)
@@ -426,13 +373,6 @@ class NonuniformCheck:
     lhs: np.ndarray
     passed: np.ndarray
     all_passed: bool
-
-    def to_dict(self):
-        return {
-            "lhs": self.lhs.tolist(),
-            "passed": [bool(v) for v in self.passed],
-            "all_passed": self.all_passed,
-        }
 
 
 def check_nonuniform_condition(coh, relative_sparsities, m_hat, c=1.0):

@@ -163,7 +163,13 @@ def test_recover_with_allocation_block(tmp_path):
     assert summary["config"]["m"] == summary["allocation"]["m"]
 
 
-def test_recover_gaussian_baseline(tmp_path):
+def test_recover_gaussian_baseline(tmp_path, monkeypatch):
+    # the baseline draws a fresh matrix per trial; an N x N draw for the
+    # source operator would go unread
+    def no_draw(*args):
+        raise AssertionError("recover drew a Gaussian source matrix")
+
+    monkeypatch.setattr("ripl_lab.cli.gaussian_matrix", no_draw)
     cfg = _write_config(
         tmp_path, "rec.json",
         {"operator": "gaussian", "N": 16, "sparsity_boundaries": [0, 4, 16],
@@ -171,10 +177,46 @@ def test_recover_gaussian_baseline(tmp_path):
          "solver": {"max_iters": 20000, "primal_tol": 1e-6}},
     )
     out = tmp_path / "out"
-    assert main(["recover", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["recover", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["K"] is None
     assert summary["config"]["m"] == [12]
+    assert summary["config_hash"] == (
+        "5a285e698e025b26573d747cb046fc7664e88157963ec993c205910a9daf3c33")
+    records = json.loads((out / "trials.json").read_text())
+    assert [rec["iterations"] for rec in records] == [375, 200, 550]
+    assert all(rec["success"] for rec in records)
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def test_json_outputs_are_strict(tmp_path):
+    # NaN (raw counts of saturated levels) and Infinity (bound ratios of exactly
+    # sparse signals, an infinite sparsity ratio) are written as strings
+    runs = {
+        "recover": {"operator": "fourier-haar", "N": 64, "s": [2, 2, 2, 2, 2, 2], "r0": 4,
+                    "allocation": {"mode": "haar-uniform", "delta": 0.5, "eps": 0.5,
+                                   "C": 4.49e-4},
+                    "trials": 5, "eta": 0.0, "noise_scaling": "plain", "weighted": False,
+                    "seed": 20260811, "solver": {"max_iters": 30000, "primal_tol": 1e-6}},
+        "certify": {"operator": "fourier-haar", "N": 16, "m": [2, 2, 4, 8], "r0": 4,
+                    "s": [1, 0, 1, 1], "seed": 7},
+    }
+    for command, payload in runs.items():
+        cfg = _write_config(tmp_path, f"{command}.json", payload)
+        out = tmp_path / command
+        with pytest.warns(RuntimeWarning):
+            assert main([command, "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        parsed = {p.name: json.loads(p.read_text(), parse_constant=_reject_constant)
+                  for p in out.glob("*.json")}
+        assert len(parsed) == (2 if command == "recover" else 1)
+    assert parsed["certification.json"]["report"]["rho"] == "inf"
+    summary = json.loads((tmp_path / "recover" / "summary.json").read_text())
+    assert summary["allocation"]["raw"][:4] == ["nan"] * 4
+    records = json.loads((tmp_path / "recover" / "trials.json").read_text())
+    assert {rec["bound_ratio_l1"] for rec in records} == {"inf"}
 
 
 def test_recover_sqrtk_noise_labelled(tmp_path):

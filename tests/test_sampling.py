@@ -215,6 +215,61 @@ def test_allocate_uniform_validates_inputs():
         kwargs = {"delta": 0.5, "eps": 0.5, "c": 1.0, **bad}
         with pytest.raises(ValueError):
             allocate_uniform(prof, pattern, kwargs["delta"], kwargs["eps"], kwargs["c"])
+    with pytest.raises(TypeError):  # budgets must come bound to the profile's levels
+        allocate_uniform(prof, (1, 1, 1, 1), 0.5, 0.5, 1.0)
+
+
+# (s, delta, eps, C, r0) on the dyadic levels of N = 2^len(s)
+_FORMULA_CASES = [
+    ((1, 1, 2, 2), 0.5, 0.5, 1e-3, 0),
+    ((2, 2, 3, 4, 4), 0.3, 0.1, 2e-4, 2),
+    ((1, 2, 2, 4, 6, 8), 0.7, 0.05, 5e-5, 1),
+    ((2, 1, 1, 1, 1, 1, 3), 0.5, 0.5, 2e-3, 3),
+    ((1, 2, 2, 4, 6, 8), 0.5, 0.2, 0.02, 1),
+]
+
+
+@pytest.mark.filterwarnings("ignore:hypothesis")
+@pytest.mark.parametrize("mode", ["uniform-general", "haar-uniform", "haar-nonuniform"])
+@pytest.mark.parametrize("s, delta, eps, c, r0", _FORMULA_CASES)
+def test_allocation_is_its_formula_at_the_fixed_point(mode, s, delta, eps, c, r0):
+    # each mode's condition written out, evaluated at the converged log argument
+    r, total = len(s), sum(s)
+    prof, lv = _fh_profile(2**r)
+    pattern = SparsityPattern(lv, s)
+    if mode == "uniform-general":
+        res = allocate_uniform(prof, pattern, delta, eps, c, r0=r0)
+    else:
+        res = allocate_haar(pattern, delta, eps, c, r0=r0, mode=mode.removeprefix("haar-"))
+    assert res.mode == mode
+    assert res.log_arg == sum(res.m[r0:])
+    widths, sv = np.asarray(lv.widths), np.asarray(s, dtype=float)
+    dist = np.abs(np.subtract.outer(np.arange(r), np.arange(r)))
+    log_m, log_n, log_s = math.log(2 * res.log_arg), math.log(2 * lv.n), math.log(2 * total)
+    if mode == "uniform-general":
+        w = widths * (prof.mu_local @ sv)
+        rhs = c / delta**2 * w * (r * log_m * log_n * log_s**2 + math.log(1 / eps))
+    elif mode == "haar-uniform":
+        w = 2.0 ** -dist[:, r0:] @ sv[r0:]  # interference from bands l > r0 only
+        rhs = c / delta**2 * w * (log_m * log_n**2 * log_s**2 + math.log(1 / eps))
+    else:
+        w = 2.0 ** (-dist / 2) @ sv
+        rhs = c * w * math.log(total / eps) * math.log(lv.n)
+    expected = np.clip(np.ceil(rhs), 1, widths)
+    expected[:r0] = widths[:r0]
+    assert res.m == tuple(expected.astype(int).tolist())
+    assert np.allclose(res.raw[r0:], rhs[r0:], rtol=1e-12, atol=0)
+    assert all(math.isnan(v) for v in res.raw[:r0])
+
+
+@pytest.mark.parametrize("c, m", [(1e-3, (1, 1, 1)), (0.05, (2, 2, 12))])
+def test_allocate_uniform_counts_on_the_sampling_levels(c, m):
+    # the sampling levels differ from the sparsity levels: r, N and the clamp
+    # widths are the sampling levels'
+    sampling, sparsity = LevelStructure((0, 2, 4, 16)), LevelStructure((0, 8, 16))
+    prof = CoherenceProfile.from_matrix(dft_matrix(16), sampling, sparsity)
+    res = allocate_uniform(prof, SparsityPattern(sparsity, (1, 2)), 0.5, 0.5, c)
+    assert res.m == m
 
 
 def test_haar_kernel_single_active_level():

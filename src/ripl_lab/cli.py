@@ -42,7 +42,6 @@ from .recovery import (
     QcbpProblem,
     exact_recovery_experiment,
     gaussian_recovery_experiment,
-    inverse_sqrt_level_weights,
     solve_qcbp,
 )
 from .ripl import certify_recovery, ripl_threshold
@@ -152,11 +151,14 @@ def resolve_operator(config, seed=None):
 def resolve_levels(config, levels):
     """Sampling and sparsity levels, each from its config boundaries or else
     ``levels``, and the keys every operator command records: operator, N and
-    both boundary lists."""
+    both boundary lists.  Both structures must end at the operator's N."""
     sampling, sparsity = (
         LevelStructure(tuple(config[key])) if key in config else levels
         for key in ("sampling_boundaries", "sparsity_boundaries")
     )
+    if not sampling.n == sparsity.n == levels.n:
+        raise ValueError(f"level boundaries must end at N = {levels.n}, got sampling "
+                         f"{sampling.n} and sparsity {sparsity.n}")
     resolved = {
         "operator": config.get("operator", "fourier-haar"),
         "N": sampling.n,
@@ -310,7 +312,7 @@ def cmd_recover(config, args):
     magnitude_model = config.get("magnitude_model", "unit")
     success_rtol = float(config.get("success_rtol", 1e-4))
     shared = dict(
-        eta=eta, weights=inverse_sqrt_level_weights(pattern) if weighted else None,
+        eta=eta, weighted=weighted,
         solver_opts=solver_opts, success_rtol=success_rtol, magnitude_model=magnitude_model,
     )
 
@@ -389,6 +391,8 @@ def cmd_allocate(config, args):
     for mode in modes:
         if mode not in tuple(ALLOCATORS):  # compared, not hashed: a mode is any JSON value
             raise ValueError(f"unknown allocation mode {mode!r}")
+        if mode in results:
+            raise ValueError(f"allocation mode {mode!r} given twice")
         results[mode] = ALLOCATORS[mode](pattern, delta, eps, c, r0)
 
     columns = [("level", range(1, levels.r + 1)), ("width", levels.widths), ("s", s)]

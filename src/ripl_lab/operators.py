@@ -134,13 +134,9 @@ def is_isometry(mat, tol=1e-10):
 
 
 def _matrix_bytes(mat):
-    mat = np.ascontiguousarray(np.asarray(mat, dtype=np.complex128))
+    mat = np.ascontiguousarray(mat, dtype="<c16")
     rows, cols = mat.shape
-    header = struct.pack("<QQ", rows, cols)
-    interleaved = np.empty((rows, cols, 2))
-    interleaved[:, :, 0] = mat.real
-    interleaved[:, :, 1] = mat.imag
-    return header + interleaved.astype("<f8").tobytes()
+    return struct.pack("<QQ", rows, cols) + mat.tobytes()
 
 
 def save_matrix(path, mat):
@@ -155,11 +151,11 @@ def load_matrix(path):
         if len(header) != 16:
             raise ValueError(f"truncated matrix file {path}")
         rows, cols = struct.unpack("<QQ", header)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != rows * cols * 2:
+        payload = fh.read()
+    if len(payload) != rows * cols * 16:
         raise ValueError(f"matrix file {path} has wrong payload size")
-    data = data.reshape(rows, cols, 2)
-    return (data[:, :, 0] + 1j * data[:, :, 1]).astype(np.complex128)
+    # astype copies, so the returned array is writeable
+    return np.frombuffer(payload, "<c16").reshape(rows, cols).astype(np.complex128)
 
 
 def matrix_content_hash(mat):

@@ -1,9 +1,9 @@
 """Quadratically-constrained basis pursuit and recovery diagnostics.
 
-Solves min_z sum_k w_k || z restricted to level k ||_1 subject to
-||A z - y|| <= eta with a primal-dual proximal splitting: the primal
+Solves min_z sum_j w_j |z_j| subject to ||A z - y|| <= eta, one weight
+w_j > 0 per column, with a primal-dual proximal splitting: the primal
 step is a coordinate-wise complex soft-threshold (shrinking the modulus,
-preserving the phase, with level weights), the dual step is the
+preserving the phase, by tau w_j), the dual step is the
 projection onto the eta-ball around y (which degenerates to the affine
 projection onto {u : u = y} when eta = 0, so one code path covers both).
 Step sizes come from the exact spectral norm ||A|| (LAPACK SVD) and a
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levels import LevelStructure, best_approx_in_levels, random_sparse_vector
+from .levels import best_approx_in_levels, random_sparse_vector
 from .operators import gaussian_matrix
 from .sampling import _as_seed_sequence, build_measurement, draw_scheme
 
@@ -42,22 +42,8 @@ __all__ = [
     "recovery_metrics",
     "exact_recovery_experiment",
     "gaussian_recovery_experiment",
-    "level_weight_vector",
     "inverse_sqrt_level_weights",
 ]
-
-
-def level_weight_vector(levels, weights):
-    """Expand per-level weights w_k to a per-coordinate vector."""
-    weights = tuple(float(w) for w in weights)
-    if len(weights) != levels.r:
-        raise ValueError(f"{len(weights)} weights for {levels.r} levels")
-    if any(w <= 0 for w in weights):
-        raise ValueError("level weights must be positive")
-    out = np.empty(levels.n)
-    for k in range(1, levels.r + 1):
-        out[levels.level_slice(k)] = weights[k - 1]
-    return out
 
 
 def inverse_sqrt_level_weights(pattern):
@@ -68,13 +54,14 @@ def inverse_sqrt_level_weights(pattern):
 
 @dataclass(frozen=True)
 class QcbpProblem:
-    """min sum_k w_k ||P_k z||_1  s.t.  ||A z - y|| <= eta."""
+    """min sum_j w_j |z_j|  s.t.  ||A z - y|| <= eta.
+
+    ``w`` has one weight > 0 per column (None: all ones); +inf forces z_j = 0."""
 
     a: np.ndarray
     y: np.ndarray
     eta: float = 0.0
-    levels: LevelStructure | None = None
-    weights: tuple | None = None
+    w: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.asarray(self.a)
@@ -87,16 +74,12 @@ class QcbpProblem:
             raise ValueError(f"y has length {y.shape[0]}, A has {a.shape[0]} rows")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
-        if self.weights is not None:
-            if self.levels is None:
-                raise ValueError("per-level weights need a level structure")
-            if self.levels.n != a.shape[1]:
-                raise ValueError("weight levels do not match the column dimension")
-
-    def coordinate_weights(self):
-        if self.weights is None:
-            return np.ones(self.a.shape[1])
-        return level_weight_vector(self.levels, self.weights)
+        w = np.ones(a.shape[1]) if self.w is None else np.asarray(self.w, dtype=float)
+        object.__setattr__(self, "w", w)
+        if w.shape != (a.shape[1],):
+            raise ValueError(f"w has shape {w.shape}, A has {a.shape[1]} columns")
+        if not np.all(w > 0):  # NaN fails this too
+            raise ValueError("weights must be > 0")
 
 
 @dataclass(frozen=True)
@@ -140,7 +123,7 @@ def solve_qcbp(problem, max_iters=50000, primal_tol=1e-7):
     a = problem.a
     y = problem.y
     eta = float(problem.eta)
-    w = problem.coordinate_weights()
+    w = problem.w
     m, n = a.shape
     a_h = a.conj().T
 
@@ -281,39 +264,32 @@ class ExperimentResult:
     records: tuple
 
 
-def _run_recovery_trials(make_matrix, pattern, trials, seed, eta, radius, weights,
-                         solver_opts, success_rtol, magnitude_model):
-    solver_opts = dict(solver_opts or {})
+def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radius,
+                         weighted, solver_opts, success_rtol, magnitude_model):
+    """Run the trials; ``make_matrix(seed)`` draws A, ``m_record`` is each trial's m."""
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    master = _as_seed_sequence(seed)
-    children = master.spawn(trials)
-    level_weights = tuple(weights) if weights is not None else None
-    sparsity_levels = pattern.levels
     ball_radius = float(radius) if radius is not None else float(eta)
+    # one weight per column, w_j = 1/sqrt(s_k) on level k, built once
+    w = (np.repeat(inverse_sqrt_level_weights(pattern), pattern.levels.widths)
+         if weighted else None)
 
-    def run_trial(index, child):
+    records = []
+    for index, child in enumerate(_as_seed_sequence(seed).spawn(trials)):
         matrix_ss, x_ss, noise_ss = child.spawn(3)
-        a, m_record = make_matrix(matrix_ss)
+        a = make_matrix(matrix_ss)
         x = random_sparse_vector(pattern, np.random.default_rng(x_ss), magnitude_model)
         y = a @ x
         if eta > 0:
             rng_noise = np.random.default_rng(noise_ss)
             direction = rng_noise.standard_normal(len(y)) + 1j * rng_noise.standard_normal(len(y))
             y = y + direction * (eta / np.linalg.norm(direction))
-        problem = QcbpProblem(
-            a=a,
-            y=y,
-            eta=ball_radius,
-            levels=sparsity_levels if level_weights is not None else None,
-            weights=level_weights,
-        )
-        result = solve_qcbp(problem, **solver_opts)
+        result = solve_qcbp(QcbpProblem(a=a, y=y, eta=ball_radius, w=w), **(solver_opts or {}))
         metrics = recovery_metrics(x, result.xhat, pattern, eta=eta)
         xnorm = float(np.linalg.norm(x))
         rel = metrics["err2"] / xnorm if xnorm > 0 else 0.0
-        return {
+        records.append({
             "trial": index,
             "m": m_record,
             "err2": metrics["err2"],
@@ -325,15 +301,13 @@ def _run_recovery_trials(make_matrix, pattern, trials, seed, eta, radius, weight
             "gap": result.gap,
             "bound_ratio_l1": metrics["bound_ratio_l1"],
             "bound_ratio_l2": metrics["bound_ratio_l2"],
-        }
-
-    records = [run_trial(index, child) for index, child in enumerate(children)]
+        })
     rate = sum(1 for rec in records if rec["success"]) / trials
     return ExperimentResult(success_rate=rate, records=tuple(records))
 
 
 def exact_recovery_experiment(u, levels, m, r0, pattern, trials, seed, eta=0.0,
-                              radius=None, weights=None, solver_opts=None,
+                              radius=None, weighted=False, solver_opts=None,
                               success_rtol=1e-4, magnitude_model="unit"):
     """Seeded multi-trial recovery experiment over multilevel schemes.
 
@@ -342,24 +316,21 @@ def exact_recovery_experiment(u, levels, m, r0, pattern, trials, seed, eta=0.0,
     Gaussian direction, then measures the fraction of trials recovering
     to relative error ``success_rtol``.  ``radius`` is the solver
     constraint radius (defaults to eta; pass sqrt(K)*eta for the
-    K-scaled convention).  Per-trial streams derive from the master seed
+    K-scaled convention).  ``weighted`` weighs level k by 1/sqrt(s_k), else
+    every weight is 1.  Per-trial streams derive from the master seed
     so results are independent of execution order; solver
     non-convergence is recorded per trial, never raised.
     """
     m = tuple(int(v) for v in m)
-
-    def make_matrix(matrix_ss):
-        scheme = draw_scheme(levels, m, r0=r0, seed=matrix_ss)
-        return build_measurement(u, scheme).a, list(scheme.m)
-
     return _run_recovery_trials(
-        make_matrix, pattern, trials, seed, eta, radius, weights, solver_opts,
+        lambda ss: build_measurement(u, draw_scheme(levels, m, r0=r0, seed=ss)).a, list(m),
+        pattern, trials, seed, eta, radius, weighted, solver_opts,
         success_rtol, magnitude_model,
     )
 
 
 def gaussian_recovery_experiment(n, m_total, pattern, trials, seed, eta=0.0,
-                                 radius=None, weights=None, solver_opts=None,
+                                 radius=None, weighted=False, solver_opts=None,
                                  success_rtol=1e-4, magnitude_model="unit"):
     """Baseline experiment with a fresh Gaussian matrix per trial.
 
@@ -369,12 +340,8 @@ def gaussian_recovery_experiment(n, m_total, pattern, trials, seed, eta=0.0,
     comparable trial by trial.
     """
     m_total = int(m_total)
-
-    def make_matrix(matrix_ss):
-        rng = np.random.default_rng(matrix_ss)
-        return gaussian_matrix(m_total, n, rng), [m_total]
-
     return _run_recovery_trials(
-        make_matrix, pattern, trials, seed, eta, radius, weights, solver_opts,
+        lambda ss: gaussian_matrix(m_total, n, np.random.default_rng(ss)), [m_total],
+        pattern, trials, seed, eta, radius, weighted, solver_opts,
         success_rtol, magnitude_model,
     )

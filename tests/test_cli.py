@@ -339,6 +339,34 @@ def test_allocate_general_mode_rejects_other_operators(tmp_path, capsys):
     assert "different sparsity levels" not in err
 
 
+@pytest.mark.parametrize("command, config, got", [
+    # the Gaussian baseline used to run every trial at N = 9 and record N = 8
+    ("recover", {"operator": "gaussian", "N": 8, "sparsity_boundaries": [0, 4, 9],
+                 "s": [1, 1], "m_total": 6, "trials": 1, "seed": 1}, "sampling 8 and sparsity 9"),
+    ("coherence", {"operator": "dft", "N": 16, "sampling_boundaries": [0, 8]},
+     "sampling 8 and sparsity 16"),
+    ("certify", {"operator": "fourier-haar", "N": 16, "sparsity_boundaries": [0, 4, 8],
+                 "m": [2, 2, 4, 8], "s": [1, 1], "seed": 1}, "sampling 16 and sparsity 8"),
+], ids=["gaussian-recover", "dft-coherence", "fh-certify"])
+def test_level_boundaries_must_end_at_n(tmp_path, capsys, command, config, got):
+    cfg = _write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    n = config["N"]
+    assert f"error: level boundaries must end at N = {n}, got {got}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_allocate_repeated_mode_fails(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, "alloc.json", {"s": [1, 1, 2], "modes": ["haar-uniform", "haar-uniform"]}
+    )
+    out = tmp_path / "o"
+    assert main(["allocate", "--config", cfg, "--out", str(out)]) == 1
+    assert "error: allocation mode 'haar-uniform' given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # The four replay configs of test_acceptance.py::test_c10_cli_determinism, each
 # with the config hash and the file set it must keep writing.  A resolved key
 # that is dropped, renamed or retyped changes the hash.

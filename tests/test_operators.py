@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,17 @@ def test_matrix_content_hash_stable():
     mat = np.eye(3)
     assert matrix_content_hash(mat) == matrix_content_hash(mat.astype(complex))
     assert matrix_content_hash(mat) != matrix_content_hash(2 * mat)
+
+
+def test_matrix_container_round_trips_bit_for_bit(tmp_path):
+    # a signed zero, an infinite and a NaN part must come back unchanged
+    mat = np.array([[complex(-0.0, 1.0), complex(1.0, math.inf)],
+                    [complex(math.nan, -0.0), complex(-math.inf, math.nan)]])
+    path = tmp_path / "m.bin"
+    save_matrix(path, mat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_matrix(path)
+    assert back.dtype == np.complex128 and back.flags.writeable
+    assert matrix_content_hash(back) == matrix_content_hash(mat)
+    assert back.tobytes() == mat.tobytes()

@@ -15,7 +15,7 @@ from ripl_lab import (
     solve_qcbp,
 )
 from ripl_lab import recovery
-from ripl_lab.recovery import gaussian_recovery_experiment, level_weight_vector
+from ripl_lab.recovery import gaussian_recovery_experiment
 
 
 def test_radial_shrink_oracle():
@@ -58,9 +58,8 @@ def test_uniform_weights_match_unweighted_minimizer():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((6, 10))
     y = rng.standard_normal(6)
-    lv = LevelStructure((0, 5, 10))
     plain = solve_qcbp(QcbpProblem(a=a, y=y, eta=0.1))
-    scaled = solve_qcbp(QcbpProblem(a=a, y=y, eta=0.1, levels=lv, weights=(3.0, 3.0)))
+    scaled = solve_qcbp(QcbpProblem(a=a, y=y, eta=0.1, w=np.full(10, 3.0)))
     assert np.allclose(plain.xhat, scaled.xhat, atol=1e-5)
     assert scaled.objective == pytest.approx(3.0 * plain.objective, rel=1e-4)
 
@@ -81,11 +80,11 @@ def test_infinite_weight_forces_level_to_zero():
     x0 = np.zeros(6)
     x0[4] = 1.0
     y = a @ x0
-    lv = LevelStructure((0, 3, 6))
+    w = np.repeat([math.inf, 1.0], 3)  # the first level of (0, 3, 6) weighted +inf
     with warnings.catch_warnings():
         # thresh/0 and inf * 0 inside the solve must not leak a RuntimeWarning
         warnings.simplefilter("error")
-        res = solve_qcbp(QcbpProblem(a=a, y=y, eta=0.0, levels=lv, weights=(math.inf, 1.0)))
+        res = solve_qcbp(QcbpProblem(a=a, y=y, eta=0.0, w=w))
     assert np.max(np.abs(res.xhat[:3])) == 0.0
 
 
@@ -109,7 +108,7 @@ def test_primal_weight_cuts_noisy_weighted_iterations(monkeypatch):
     def iterations():
         rec = exact_recovery_experiment(
             u, lv, m, 2, pattern, 1, 0, eta=0.01, radius=0.01 * math.sqrt(k_factor),
-            weights=inverse_sqrt_level_weights(pattern), magnitude_model="gaussian",
+            weighted=True, magnitude_model="gaussian",
             success_rtol=0.05, solver_opts={"max_iters": 30000},
         ).records[0]
         assert rec["converged"] and rec["success"]
@@ -121,20 +120,43 @@ def test_primal_weight_cuts_noisy_weighted_iterations(monkeypatch):
     assert 4 * adaptive <= fixed, (adaptive, fixed)
 
 
+def test_weighted_experiment_builds_one_column_weight_vector(monkeypatch):
+    u, lv = fourier_haar_matrix(16)  # widths (2, 2, 4, 8)
+    pattern = SparsityPattern(lv, (1, 0, 1, 2))
+    seen = []
+    solve = recovery.solve_qcbp
+
+    def spy(problem, **opts):
+        seen.append(problem.w)
+        return solve(problem, **opts)
+
+    monkeypatch.setattr(recovery, "solve_qcbp", spy)
+    exact_recovery_experiment(u, lv, lv.widths, lv.r, pattern, 3, seed=1, weighted=True)
+    expected = [1.0] * 2 + [math.inf] * 2 + [1.0] * 4 + [1 / math.sqrt(2)] * 8
+    assert len(seen) == 3 and all(w is seen[0] for w in seen)
+    assert seen[0].tolist() == expected
+    gaussian_recovery_experiment(16, 12, pattern, 2, seed=1)
+    assert seen[3].tolist() == [1.0] * 16
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         QcbpProblem(a=np.eye(2), y=np.zeros(3))
     with pytest.raises(ValueError):
         QcbpProblem(a=np.eye(2), y=np.zeros(2), eta=-1.0)
-    with pytest.raises(ValueError):
-        QcbpProblem(a=np.eye(2), y=np.zeros(2), weights=(1.0,))
-    with pytest.raises(ValueError):
-        level_weight_vector(LevelStructure((0, 2)), (0.0,))
+    for w, message in (
+        (np.ones(1), "w has shape"),
+        (np.ones((2, 1)), "w has shape"),
+        (np.array([0.0, 1.0]), "must be > 0"),
+        (np.array([1.0, -2.0]), "must be > 0"),
+        (np.array([math.nan, 1.0]), "must be > 0"),  # NaN > 0 is False
+    ):
+        with pytest.raises(ValueError, match=message):
+            QcbpProblem(a=np.eye(2), y=np.zeros(2), w=w)
 
 
 def test_weight_helpers():
     lv = LevelStructure((0, 2, 4))
-    assert np.array_equal(level_weight_vector(lv, (2.0, 0.5)), [2, 2, 0.5, 0.5])
     pattern = SparsityPattern(lv, (1, 0))
     assert inverse_sqrt_level_weights(pattern) == (1.0, math.inf)
 

@@ -15,6 +15,7 @@ from .levels import (
 from .operators import (
     dft_matrix,
     fourier_haar_matrix,
+    fourier_haar_table,
     gaussian_matrix,
     haar_matrix,
     is_isometry,
@@ -26,6 +27,7 @@ from .coherence import (
     CoherenceProfile,
     RelativeSparsityReport,
     SearchBudgetError,
+    fourier_haar_local_coherence,
     global_coherence,
     local_coherence,
     nonuniform_local_coherence,

@@ -5,17 +5,19 @@ calls the command inside its one error handler (``error: ...``, exit 1).
 The command does only its own computation: ``resolve_operator`` gives
 ``coherence``, ``certify`` and ``recover`` their operator, levels and
 shared resolved keys (the Gaussian ``recover`` baseline, which draws a
-matrix per trial, takes only ``resolve_levels``), and ``ALLOCATORS`` maps
-each allocation mode to its allocator for ``allocate`` and ``recover``.
-``write_outputs`` is the one place outputs reach ``--out``: it stamps the
-command into the resolved config, hashes it, and writes the summary JSON
-and the tables.  The hash lets every randomized run replay byte-for-byte
-from (config, seed); the tables are plot-ready, and no plot is rendered.
+matrix per trial, and Fourier--Haar ``coherence``, which reads the
+operator's |U|^2 table instead of U, take only ``resolve_levels``), and
+``ALLOCATORS`` maps each allocation mode to its allocator for
+``allocate`` and ``recover``.  ``write_outputs`` is the one place
+outputs reach ``--out``: it stamps the command into the resolved config,
+hashes it, and writes the summary JSON and the tables.  The hash lets
+every randomized run replay byte-for-byte from (config, seed); the
+tables are plot-ready, and no plot is rendered.
 
-A concern of every command belongs in the skeleton: per-stage
-``timings.json`` and warnings captured into ``notes`` wrap the command
-call in ``main`` and reach disk through ``write_outputs``, and
-``--debug`` re-raises from ``main``'s handler.
+A concern of every command belongs in the skeleton: ``--debug``
+re-raises from ``main``'s handler, and per-stage ``timings.json`` and
+warnings captured into ``notes`` belong around the command call in
+``main``, reaching disk through ``write_outputs``.
 """
 from __future__ import annotations
 
@@ -29,11 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coherence import CoherenceProfile
+from .coherence import CoherenceProfile, fourier_haar_local_coherence, local_coherence
 from .levels import LevelStructure, SparsityPattern, support_blocks
 from .operators import (
     dft_matrix,
     fourier_haar_matrix,
+    fourier_haar_table,
     gaussian_matrix,
     haar_matrix,
     load_matrix,
@@ -191,9 +194,10 @@ def write_outputs(args, resolved, summary_name, summary, tables=()):
 
 
 def _general_allocation(pattern, delta, eps, c, r0):
-    # the general condition takes its local coherences from the Fourier--Haar matrix
-    u, _ = fourier_haar_matrix(pattern.levels.n)
-    profile = CoherenceProfile.from_matrix(u, pattern.levels, pattern.levels)
+    # the general condition takes its local coherences from the Fourier--Haar operator
+    levels = pattern.levels
+    mu_local = fourier_haar_local_coherence(fourier_haar_table(levels.n), levels, levels)
+    profile = CoherenceProfile.from_local(mu_local, levels, levels)
     return allocate_uniform(profile, pattern, delta, eps, c, r0=r0)
 
 
@@ -216,8 +220,15 @@ def _allocation_constants(block):
 
 def cmd_coherence(config, args):
     seed = args.seed if args.seed is not None else config.get("seed")
-    u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
-    profile = CoherenceProfile.from_matrix(u, sampling, sparsity)
+    if config.get("operator", "fourier-haar") == "fourier-haar":
+        table = fourier_haar_table(int(config.get("N", 0)))
+        sampling, sparsity, resolved = resolve_levels(
+            config, LevelStructure.dyadic(table.shape[1] - 1))
+        mu_local = fourier_haar_local_coherence(table, sampling, sparsity)
+        profile = CoherenceProfile.from_local(mu_local, sampling, sparsity)
+    else:
+        u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
+        profile = CoherenceProfile.from_matrix(u, sampling, sparsity)
     name = resolved["operator"]
     if name == "gaussian":  # only the Gaussian operator depends on the seed
         resolved["seed"] = int(seed)
@@ -303,14 +314,20 @@ def cmd_recover(config, args):
         u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
     pattern = SparsityPattern(sparsity, tuple(config["s"]))
     r0 = int(config.get("r0", 0))
-    trials = int(config.get("trials", 10))
+    trials = config.get("trials", 10)
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     eta = float(config.get("eta", 0.0))
+    if not 0 <= eta < math.inf:
+        raise ValueError(f"eta must be a finite number >= 0, got {eta!r}")
     noise_scaling = config.get("noise_scaling", "plain")
     if noise_scaling not in ("plain", "sqrtK"):
         raise ValueError("noise_scaling must be 'plain' or 'sqrtK'")
     weighted = bool(config.get("weighted", False))
     magnitude_model = config.get("magnitude_model", "unit")
     success_rtol = float(config.get("success_rtol", 1e-4))
+    if not 0 < success_rtol < math.inf:
+        raise ValueError(f"success_rtol must be a finite number > 0, got {success_rtol!r}")
     shared = dict(
         eta=eta, weighted=weighted,
         solver_opts=solver_opts, success_rtol=success_rtol, magnitude_model=magnitude_model,
@@ -437,6 +454,9 @@ def cmd_selftest(config, args):
     check("fourier-haar(16) matches the dense DFT-Haar product",
           np.max(np.abs(u - dense)) <= 1e-12)
     check("fourier-haar(16) unitary", is_isometry(u, 1e-10))
+    check("fourier-haar(16) table block maxima equal the dense ones bit for bit",
+          np.array_equal(fourier_haar_local_coherence(fourier_haar_table(16), levels, levels),
+                         local_coherence(u, levels, levels)))
     check("dft(16) unitary", is_isometry(dft_matrix(16), 1e-10))
     check("haar(16) orthonormal", is_isometry(haar_matrix(16), 1e-10))
     check("dft coherence 1/N", abs(np.max(np.abs(dft_matrix(8)) ** 2) - 0.125) < 1e-14)
@@ -491,6 +511,8 @@ def build_parser():
         p.add_argument("--out", type=str, default="." if name != "selftest" else None,
                        help="output directory")
         p.add_argument("--format", choices=_FORMATS, default="csv")
+        p.add_argument("--debug", action="store_true",
+                       help="re-raise errors with their traceback instead of one line")
         p.set_defaults(fn=fn)
     return parser
 
@@ -500,6 +522,8 @@ def main(argv=None):
     try:
         return args.fn(load_config(args.config), args)
     except Exception as exc:  # surface config errors as exit code 1
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

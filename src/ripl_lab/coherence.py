@@ -4,6 +4,8 @@ The global coherence is the largest squared entry modulus.  The local
 coherence matrix refines it per (sampling level, sparsity level) block;
 its nonuniform variant mu~_{k,l} = max_t sqrt(mu_{k,l} mu_{k,t}) is the
 (entrywise larger) quantity required by nonuniform recovery conditions.
+For Fourier--Haar the block maxima come from the operator's (N, r+1)
+table of |U|^2 per (row, Haar scale), so U is never built.
 The relative sparsity S_k is the worst-case energy a unit-inf-norm
 level-sparse vector can place into sampling block k.
 """
@@ -20,6 +22,7 @@ __all__ = [
     "CoherenceProfile",
     "RelativeSparsityReport",
     "SearchBudgetError",
+    "fourier_haar_local_coherence",
     "global_coherence",
     "local_coherence",
     "nonuniform_local_coherence",
@@ -44,6 +47,15 @@ def _check_partition(u, levels, what):
         raise ValueError(f"{what} levels end at {levels.n}, matrix has {u.shape[0]} rows")
 
 
+def _block_maxima(sq, sampling, column_slices):
+    out = np.empty((sampling.r, len(column_slices)))
+    for k in range(sampling.r):
+        rows = sq[sampling.level_slice(k + 1)]
+        for l, cols in enumerate(column_slices):
+            out[k, l] = rows[:, cols].max()
+    return out
+
+
 def local_coherence(u, sampling, sparsity):
     """r x r matrix of block maxima of |U_ij|^2.
 
@@ -55,13 +67,22 @@ def local_coherence(u, sampling, sparsity):
         raise ValueError(f"local coherence needs a square matrix, got {u.shape}")
     _check_partition(u, sampling, "sampling")
     _check_partition(u, sparsity, "sparsity")
-    sq = np.abs(u) ** 2
-    out = np.empty((sampling.r, sparsity.r))
-    for k in range(1, sampling.r + 1):
-        rows = sq[sampling.level_slice(k)]
-        for l in range(1, sparsity.r + 1):
-            out[k - 1, l - 1] = rows[:, sparsity.level_slice(l)].max()
-    return out
+    slices = [sparsity.level_slice(l) for l in range(1, sparsity.r + 1)]
+    return _block_maxima(np.abs(u) ** 2, sampling, slices)
+
+
+def fourier_haar_local_coherence(table, sampling, sparsity):
+    """``local_coherence`` of the Fourier--Haar matrix from ``fourier_haar_table(N)``.
+
+    Haar column j reads table column ``j.bit_length()``, so a sparsity level
+    spans the table columns of its first and last Haar columns."""
+    table = np.asarray(table)
+    _check_partition(table, sampling, "sampling")
+    _check_partition(table, sparsity, "sparsity")
+    bounds = sparsity.boundaries
+    slices = [slice(lo.bit_length(), (hi - 1).bit_length() + 1)
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return _block_maxima(table, sampling, slices)
 
 
 def nonuniform_local_coherence(mu_local):
@@ -85,7 +106,10 @@ class CoherenceProfile:
 
     @classmethod
     def from_matrix(cls, u, sampling, sparsity):
-        mu_local = local_coherence(u, sampling, sparsity)
+        return cls.from_local(local_coherence(u, sampling, sparsity), sampling, sparsity)
+
+    @classmethod
+    def from_local(cls, mu_local, sampling, sparsity):
         # the blocks partition U, so their largest maximum is the global one
         return cls(
             mu_global=float(mu_local.max()),

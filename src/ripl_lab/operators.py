@@ -4,8 +4,9 @@ Provides the unitary DFT over the symmetric frequency range
 {-N/2+1, ..., N/2}, the orthonormal Haar wavelet basis with
 coarse-to-fine column ordering, the product of the band-reordered DFT
 with the Haar basis (the flagship coherent isometry whose rows group
-into dyadic frequency bands, built by one inverse FFT), and an i.i.d.
-Gaussian baseline matrix.
+into dyadic frequency bands, built by one inverse FFT), its table of
+squared moduli per (row, Haar scale), which coherence reads without
+building the N x N product, and an i.i.d. Gaussian baseline matrix.
 
 Matrices serialize to a small binary container (two little-endian uint64
 dims followed by row-major float64 interleaved re/im).
@@ -23,6 +24,7 @@ __all__ = [
     "dft_matrix",
     "haar_matrix",
     "fourier_haar_matrix",
+    "fourier_haar_table",
     "gaussian_matrix",
     "is_isometry",
     "save_matrix",
@@ -78,6 +80,15 @@ def haar_matrix(n):
     return h
 
 
+def _band_rows(n):
+    """Transform row (w mod N) of each frequency w of U, in band order."""
+    freqs = [0, 1]
+    for k in range(1, n.bit_length() - 1):
+        freqs += range(-(2**k) + 1, -(2 ** (k - 1)) + 1)
+        freqs += range(2 ** (k - 1) + 1, 2**k + 1)
+    return np.mod(freqs, n)
+
+
 def fourier_haar_matrix(n):
     """Band-reordered DFT times the Haar basis, with its sampling levels.
 
@@ -90,17 +101,12 @@ def fourier_haar_matrix(n):
     W_k and ``levels`` is ``LevelStructure.dyadic(r)``, boundaries 2^k.
     """
     n = _require_pow2(n)
-    r = n.bit_length() - 1
-    freqs = [0, 1]
-    for k in range(1, r):
-        freqs += range(-(2**k) + 1, -(2 ** (k - 1)) + 1)
-        freqs += range(2 ** (k - 1) + 1, 2**k + 1)
     # one complex N x N buffer: transformed in place, then its rows are
     # permuted in place cycle by cycle through a single row buffer
     u = np.empty((n, n), dtype=np.complex128)
     u[...] = haar_matrix(n)
     np.fft.ifft(u, axis=0, norm="ortho", out=u)
-    source = np.mod(freqs, n)  # row i of U is transform row source[i]
+    source = _band_rows(n)  # row i of U is transform row source[i]
     placed = np.zeros(n, dtype=bool)
     for start in range(n):
         if placed[start]:
@@ -113,7 +119,26 @@ def fourier_haar_matrix(n):
             i = source[i]
         u[i] = row
         placed[i] = True
-    return u, LevelStructure.dyadic(r)
+    return u, LevelStructure.dyadic(n.bit_length() - 1)
+
+
+def fourier_haar_table(n):
+    """|U|^2 of ``fourier_haar_matrix(n)`` per (row, Haar scale), without U.
+
+    Translates of one Haar wavelet differ by a phase after the DFT, so
+    |U_ij|^2 depends only on row i and the scale of column j.  Returns an
+    (N, r+1) array: rows in U's band order, column 0 the scaling vector's
+    and column 1 + s the scale-s wavelets', so Haar column j reads table
+    column ``j.bit_length()``.
+    """
+    n = _require_pow2(n)
+    h = np.zeros((n, n.bit_length()))
+    h[:, 0] = 1.0 / np.sqrt(n)
+    for scale in range(n.bit_length() - 1):  # each scale's first translate, as haar_matrix
+        half = n >> (scale + 1)
+        h[:half, scale + 1] = np.sqrt(2.0**scale / n)
+        h[half : 2 * half, scale + 1] = -h[0, scale + 1]
+    return np.abs(np.fft.ifft(h, axis=0, norm="ortho")[_band_rows(n)]) ** 2
 
 
 def gaussian_matrix(m, n, rng):

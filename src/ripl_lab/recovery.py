@@ -72,7 +72,7 @@ class QcbpProblem:
             raise ValueError(f"A must be a matrix, got shape {a.shape}")
         if y.shape[0] != a.shape[0]:
             raise ValueError(f"y has length {y.shape[0]}, A has {a.shape[0]} rows")
-        if self.eta < 0:
+        if not self.eta >= 0:  # NaN fails this too
             raise ValueError("eta must be >= 0")
         w = np.ones(a.shape[1]) if self.w is None else np.asarray(self.w, dtype=float)
         object.__setattr__(self, "w", w)

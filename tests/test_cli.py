@@ -329,6 +329,83 @@ def test_recover_bad_solver_value_fails_before_trials(tmp_path, capsys, solver, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("eta", float("nan"), "eta must be a finite number >= 0, got nan"),
+        ("eta", -0.5, "eta must be a finite number >= 0, got -0.5"),
+        ("eta", float("inf"), "eta must be a finite number >= 0, got inf"),
+        ("success_rtol", float("nan"), "success_rtol must be a finite number > 0, got nan"),
+        ("success_rtol", 0, "success_rtol must be a finite number > 0, got 0.0"),
+        ("success_rtol", float("inf"), "success_rtol must be a finite number > 0, got inf"),
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("trials", "3", "trials must be an integer, got '3'"),
+    ],
+    ids=["eta-nan", "eta-negative", "eta-inf", "rtol-nan", "rtol-zero", "rtol-inf",
+         "trials-float", "trials-str"],
+)
+def test_recover_bad_scalar_fails_before_trials(tmp_path, capsys, monkeypatch, key, value, message):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("ripl_lab.cli.exact_recovery_experiment", no_trials)
+    config = {"operator": "fourier-haar", "N": 16, "m": [2, 2, 4, 8], "s": [1, 1, 1, 1],
+              "trials": 1, "seed": 1, key: value}
+    # json writes the bare NaN / Infinity tokens, which Python's json reads back
+    cfg = _write_config(tmp_path, "rec.json", config)
+    out = tmp_path / "o"
+    assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_debug_flag_reraises(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", {"operator": "walsh", "N": 8})
+    argv = ["coherence", "--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert "error: unknown operator 'walsh'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="unknown operator 'walsh'"):
+        main([*argv, "--debug"])
+    assert capsys.readouterr().err == ""
+
+
+def _no_dense_fourier_haar(n):
+    raise AssertionError("the dense Fourier-Haar matrix was built")
+
+
+@pytest.mark.parametrize("levels", [
+    {},
+    {"sampling_boundaries": [0, 3, 20, 64], "sparsity_boundaries": [0, 1, 9, 33, 64]},
+], ids=["dyadic", "custom"])
+def test_fourier_haar_coherence_never_builds_u(tmp_path, monkeypatch, levels):
+    monkeypatch.setattr("ripl_lab.cli.fourier_haar_matrix", _no_dense_fourier_haar)
+    cfg = _write_config(tmp_path, "c.json", {"operator": "fourier-haar", "N": 64, **levels})
+    out = tmp_path / "o"
+    assert main(["coherence", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    summary = json.loads((out / "coherence_summary.json").read_text())
+    expected = levels.get("sampling_boundaries", [0, 2, 4, 8, 16, 32, 64])
+    assert summary["profile"]["sampling_boundaries"] == expected
+    assert summary["config"]["sampling_boundaries"] == expected
+
+
+def test_general_allocation_never_builds_u(tmp_path, monkeypatch):
+    monkeypatch.setattr("ripl_lab.cli.fourier_haar_matrix", _no_dense_fourier_haar)
+    cfg = _write_config(tmp_path, "a.json", {"s": [1, 1, 2, 2, 3, 3], "modes": ["general"]})
+    assert main(["allocate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("n, message", [
+    (3, "N must be a power of two >= 2, got 3"),
+    (8192, "dense construction capped at N = 4096"),
+])
+def test_fourier_haar_coherence_checks_n(tmp_path, capsys, n, message):
+    cfg = _write_config(tmp_path, "c.json", {"operator": "fourier-haar", "N": n})
+    out = tmp_path / "o"
+    assert main(["coherence", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_allocate_general_mode_rejects_other_operators(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, "alloc.json", {"s": [1, 1, 2], "modes": ["general"], "operator": "dft"}

@@ -7,7 +7,9 @@ from ripl_lab import (
     SearchBudgetError,
     SparsityPattern,
     dft_matrix,
+    fourier_haar_local_coherence,
     fourier_haar_matrix,
+    fourier_haar_table,
     gaussian_matrix,
     global_coherence,
     haar_matrix,
@@ -73,6 +75,53 @@ def test_profile_invariants_fourier_haar():
     assert 1.0 / n <= prof.mu_global <= 1.0 + 1e-12
     assert np.all(prof.mu_local <= prof.mu_global + 1e-12)
     assert np.all(prof.mu_tilde >= prof.mu_local - 1e-15)
+
+
+def _random_levels(rng, n):
+    inner = rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(0, 6))), replace=False)
+    return LevelStructure((0, *sorted(int(b) for b in inner), n))
+
+
+@pytest.mark.parametrize("n", [2**r for r in range(1, 11)] + [4096])
+def test_fourier_haar_table_matches_dense_block_maxima(n):
+    u, levels = fourier_haar_matrix(n)
+    table = fourier_haar_table(n)
+    assert table.shape == (n, levels.r + 1)
+    rng = np.random.default_rng(n)
+    cases = [(levels, levels)] + [(_random_levels(rng, n), _random_levels(rng, n))
+                                  for _ in range(3 if n > 2 else 0)]
+    for sampling, sparsity in cases:
+        dense = local_coherence(u, sampling, sparsity)
+        fast = fourier_haar_local_coherence(table, sampling, sparsity)
+        assert np.max(np.abs(fast - dense)) <= 1e-15
+        dense_p = CoherenceProfile.from_local(dense, sampling, sparsity)
+        fast_p = CoherenceProfile.from_local(fast, sampling, sparsity)
+        assert abs(fast_p.mu_global - dense_p.mu_global) <= 1e-15
+        assert np.max(np.abs(fast_p.mu_tilde - dense_p.mu_tilde)) <= 1e-15
+    if n <= 16:  # the dyadic bands agree bit for bit at small N
+        fast = fourier_haar_local_coherence(table, levels, levels)
+        assert np.array_equal(fast, local_coherence(u, levels, levels))
+
+
+def test_fourier_haar_table_on_custom_boundaries():
+    u, _ = fourier_haar_matrix(64)
+    table = fourier_haar_table(64)
+    for bounds in ((0, 64), (0, 1, 2, 3, 64), (0, 5, 17, 40, 63, 64), (0, 31, 33, 64)):
+        for other in ((0, 64), (0, 7, 9, 64), (0, 2, 4, 8, 16, 32, 64)):
+            sampling, sparsity = LevelStructure(bounds), LevelStructure(other)
+            for pair in ((sampling, sparsity), (sparsity, sampling)):
+                dense = local_coherence(u, *pair)
+                assert np.max(np.abs(fourier_haar_local_coherence(table, *pair) - dense)) <= 1e-15
+
+
+def test_fourier_haar_table_validates_n_and_levels():
+    for n, message in ((3, "power of two >= 2, got 3"), (0, "got 0"),
+                       (8192, "capped at N = 4096")):
+        with pytest.raises(ValueError, match=message):
+            fourier_haar_table(n)
+    with pytest.raises(ValueError, match="sampling levels end at 8"):
+        fourier_haar_local_coherence(fourier_haar_table(16), LevelStructure((0, 8)),
+                                     LevelStructure((0, 16)))
 
 
 def test_relative_sparsity_identity_alignment():

@@ -142,8 +142,9 @@ def test_weighted_experiment_builds_one_column_weight_vector(monkeypatch):
 def test_problem_validation():
     with pytest.raises(ValueError):
         QcbpProblem(a=np.eye(2), y=np.zeros(3))
-    with pytest.raises(ValueError):
-        QcbpProblem(a=np.eye(2), y=np.zeros(2), eta=-1.0)
+    for eta in (-1.0, math.nan):  # NaN >= 0 is False
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            QcbpProblem(a=np.eye(2), y=np.zeros(2), eta=eta)
     for w, message in (
         (np.ones(1), "w has shape"),
         (np.ones((2, 1)), "w has shape"),

@@ -25,23 +25,18 @@ from .operators import (
 )
 from .coherence import (
     CoherenceProfile,
-    RelativeSparsityReport,
-    SearchBudgetError,
     fourier_haar_local_coherence,
     global_coherence,
     local_coherence,
     nonuniform_local_coherence,
-    relative_sparsity,
 )
 from .sampling import (
     AllocationResult,
     MeasurementOperator,
-    NonuniformCheck,
     SamplingScheme,
     allocate_haar,
     allocate_uniform,
     build_measurement,
-    check_nonuniform_condition,
     draw_scheme,
     haar_interference_weights,
 )
@@ -59,6 +54,7 @@ from .recovery import (
     QcbpProblem,
     SolveResult,
     exact_recovery_experiment,
+    gaussian_recovery_experiment,
     inverse_sqrt_level_weights,
     recovery_metrics,
     solve_qcbp,

@@ -171,6 +171,13 @@ def resolve_levels(config, levels):
     return sampling, sparsity, resolved
 
 
+def _positive_int(value, name):
+    """``value`` if it is an integer >= 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _require_seed(config, args_seed, command):
     seed = args_seed if args_seed is not None else config.get("seed")
     if seed is None:
@@ -249,13 +256,15 @@ def cmd_coherence(config, args):
 
 def cmd_certify(config, args):
     seed = _require_seed(config, args.seed, "certify")
+    max_supports = _positive_int(config.get("max_supports", 10**6), "max_supports")
+    mc_trials = _positive_int(config.get("mc_trials", 2000), "mc_trials")
+    per_support = config.get("per_support_csv", False)
+    if not isinstance(per_support, bool):
+        raise ValueError(f"per_support_csv must be true or false, got {per_support!r}")
     u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
     pattern = SparsityPattern(sparsity, tuple(config["s"]))
     r0 = int(config.get("r0", 0))
     m = tuple(config["m"])
-    max_supports = int(config.get("max_supports", 10**6))
-    mc_trials = int(config.get("mc_trials", 2000))
-    per_support = bool(config.get("per_support_csv", False))
 
     scheme_ss, mc_ss = np.random.SeedSequence(seed).spawn(2)
     scheme = draw_scheme(sampling, m, r0=r0, seed=scheme_ss)
@@ -294,9 +303,7 @@ def _solver_options(config):
     if unknown:
         raise ValueError(f"unknown solver option(s) {unknown}; allowed: max_iters, primal_tol")
     if "max_iters" in solver_opts:
-        iters = solver_opts["max_iters"]
-        if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
-            raise ValueError(f"solver max_iters must be an integer >= 1, got {iters!r}")
+        _positive_int(solver_opts["max_iters"], "solver max_iters")
     if "primal_tol" in solver_opts:
         tol = solver_opts["primal_tol"]
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:

@@ -21,11 +21,9 @@ mode (s the total sparsity, r the level count):
 - "haar-nonuniform", the nonuniform comparison condition: scale = C,
   w_k the 2^-|k-l|/2 kernel, a = 0, b = log(s/eps) log(N).
 
-The module also holds the feasibility check of the nonuniform
-relative-sparsity condition.  Every allocation takes an explicit user
-constant C: the underlying sufficient conditions hold only up to
-unspecified absolute constants, so guarantees are faithful only for
-sufficiently large C.
+Every allocation takes an explicit user constant C: the underlying
+sufficient conditions hold only up to unspecified absolute constants,
+so guarantees are faithful only for sufficiently large C.
 """
 from __future__ import annotations
 
@@ -42,13 +40,11 @@ __all__ = [
     "SamplingScheme",
     "MeasurementOperator",
     "AllocationResult",
-    "NonuniformCheck",
     "draw_scheme",
     "build_measurement",
     "allocate_uniform",
     "allocate_haar",
     "haar_interference_weights",
-    "check_nonuniform_condition",
 ]
 
 
@@ -266,8 +262,8 @@ def _allocate(mode, levels, total_s, weights, delta, eps, c, r0, notes=()):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if c <= 0.0:
-        raise ValueError(f"C must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"C must be a finite number > 0, got {c}")
     r = levels.r
     if not 0 <= r0 <= r:
         raise ValueError(f"r0 = {r0} out of range 0..{r}")
@@ -364,36 +360,3 @@ def allocate_haar(s, delta, eps, c, r0=0, mode="uniform"):
     if mode == "uniform" and 1 <= r0 < levels.r and levels.boundaries[r0] > s.s[r0]:
         notes = (f"hypothesis N_r0 <= s_(r0+1) violated: {levels.boundaries[r0]} > {s.s[r0]}",)
     return _allocate(f"haar-{mode}", levels, s.total, weights, delta, eps, c, r0, notes)
-
-
-@dataclass(frozen=True)
-class NonuniformCheck:
-    """Per-sparsity-level sums of the relative-sparsity feasibility check."""
-
-    lhs: np.ndarray
-    passed: np.ndarray
-    all_passed: bool
-
-
-def check_nonuniform_condition(coh, relative_sparsities, m_hat, c=1.0):
-    """Feasibility check 1 >= C * sum_k (width_k/m^_k - 1) mu~_{k,l} S_k.
-
-    Evaluates the left-hand sum for every sparsity level l and reports
-    pass/fail.  This is a check of a proposed m^, not a solver: the
-    condition is implicit in m^.
-    """
-    if not isinstance(coh, CoherenceProfile):
-        raise TypeError("check_nonuniform_condition needs a CoherenceProfile")
-    m_hat = np.asarray(m_hat, dtype=float)
-    s_rel = np.asarray(relative_sparsities, dtype=float)
-    widths = np.asarray(coh.sampling.widths, dtype=float)
-    if m_hat.shape != widths.shape:
-        raise ValueError("m_hat must have one entry per sampling level")
-    if np.any(m_hat < 1):
-        raise ValueError("m_hat entries must be >= 1")
-    if np.any(s_rel < 0):
-        raise ValueError("relative sparsities must be non-negative")
-    factor = (widths / m_hat - 1.0) * s_rel  # per sampling level k
-    lhs = c * (coh.mu_tilde.T @ factor)  # one sum per sparsity level l
-    passed = lhs <= 1.0
-    return NonuniformCheck(lhs=lhs, passed=passed, all_passed=bool(np.all(passed)))

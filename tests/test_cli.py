@@ -359,6 +359,47 @@ def test_recover_bad_scalar_fails_before_trials(tmp_path, capsys, monkeypatch, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("max_supports", True, "max_supports must be an integer >= 1, got True"),
+        ("max_supports", 0, "max_supports must be an integer >= 1, got 0"),
+        ("max_supports", 1e6, "max_supports must be an integer >= 1, got 1000000.0"),
+        ("mc_trials", 2.7, "mc_trials must be an integer >= 1, got 2.7"),
+        ("mc_trials", 0, "mc_trials must be an integer >= 1, got 0"),
+        ("mc_trials", "5", "mc_trials must be an integer >= 1, got '5'"),
+        ("per_support_csv", "false", "per_support_csv must be true or false, got 'false'"),
+        ("per_support_csv", 1, "per_support_csv must be true or false, got 1"),
+    ],
+    ids=["supports-bool", "supports-zero", "supports-float", "mc-float", "mc-zero", "mc-str",
+         "csv-str", "csv-int"],
+)
+def test_certify_bad_scalar_fails_before_scheme(tmp_path, capsys, monkeypatch, key, value, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a scheme was drawn or certified")
+
+    monkeypatch.setattr("ripl_lab.cli.draw_scheme", no_work)
+    monkeypatch.setattr("ripl_lab.cli.certify_recovery", no_work)
+    config = {"operator": "fourier-haar", "N": 16, "m": [2, 2, 4, 8], "r0": 4,
+              "s": [1, 1, 1, 1], "seed": 7, key: value}
+    cfg = _write_config(tmp_path, "cert.json", config)
+    out = tmp_path / "o"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("c, shown", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                      (0, "0.0"), (-1, "-1.0")],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_allocate_rejects_bad_constant(tmp_path, capsys, c, shown):
+    # json writes the bare NaN / Infinity tokens, which Python's json reads back
+    cfg = _write_config(tmp_path, "alloc.json", {"s": [1, 1, 2], "C": c})
+    out = tmp_path / "o"
+    assert main(["allocate", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: C must be a finite number > 0, got {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_debug_flag_reraises(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", {"operator": "walsh", "N": 8})
     argv = ["coherence", "--config", cfg, "--out", str(tmp_path / "o")]

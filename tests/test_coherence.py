@@ -4,8 +4,6 @@ import pytest
 from ripl_lab import (
     CoherenceProfile,
     LevelStructure,
-    SearchBudgetError,
-    SparsityPattern,
     dft_matrix,
     fourier_haar_local_coherence,
     fourier_haar_matrix,
@@ -15,7 +13,6 @@ from ripl_lab import (
     haar_matrix,
     local_coherence,
     nonuniform_local_coherence,
-    relative_sparsity,
 )
 
 
@@ -122,75 +119,3 @@ def test_fourier_haar_table_validates_n_and_levels():
     with pytest.raises(ValueError, match="sampling levels end at 8"):
         fourier_haar_local_coherence(fourier_haar_table(16), LevelStructure((0, 8)),
                                      LevelStructure((0, 16)))
-
-
-def test_relative_sparsity_identity_alignment():
-    ls = LevelStructure((0, 2, 4))
-    rep = relative_sparsity(np.eye(4), ls, ls, (1, 2), phases=2)
-    assert np.allclose(rep.values, [1.0, 2.0], atol=1e-12)
-    assert rep.exact
-
-
-def test_relative_sparsity_zero_budget():
-    ls = LevelStructure((0, 2, 4))
-    rep = relative_sparsity(np.eye(4), ls, ls, (0, 0), phases=2)
-    assert np.array_equal(rep.values, [0.0, 0.0])
-
-
-def test_relative_sparsity_monotone_in_budgets():
-    u, lv = fourier_haar_matrix(8)
-    small = relative_sparsity(u, lv, lv, (1, 0, 1), phases=4).values
-    large = relative_sparsity(u, lv, lv, (1, 1, 2), phases=4).values
-    assert np.all(large >= small - 1e-12)
-
-
-def test_relative_sparsity_phase_refinement_non_decreasing():
-    u, lv = fourier_haar_matrix(8)
-    prev = None
-    for phases in (2, 4, 8):
-        vals = relative_sparsity(u, lv, lv, (1, 1, 1), phases=phases).values
-        if prev is not None:
-            assert np.all(vals >= prev - 1e-12)
-        prev = vals
-
-
-def test_relative_sparsity_flags_complex_as_lower_bound():
-    u, lv = fourier_haar_matrix(8)
-    rep = relative_sparsity(u, lv, lv, (1, 0, 0), phases=4)
-    assert not rep.exact
-    assert rep.certificates[0][0]  # certifying support recorded
-
-
-def test_relative_sparsity_fourier_haar_interference_bound():
-    # recorded constant: S_k <= 0.91 * sum_l 2^(-|k-l|/2) s_l at N = 16
-    u, lv = fourier_haar_matrix(16)
-    s = (1, 1, 1, 1)
-    rep = relative_sparsity(u, lv, lv, s, phases=4)
-    for k in range(4):
-        bound = sum(2.0 ** (-abs(k - l) / 2) * s[l] for l in range(4))
-        assert rep.values[k] <= 0.91 * bound
-
-
-def test_relative_sparsity_upper_bound_diagnostic():
-    u, lv = fourier_haar_matrix(16)
-    rep = relative_sparsity(u, lv, lv, (1, 1, 1, 1), phases=4)
-    assert np.all(rep.values <= rep.upper_bound + 1e-10)
-
-
-def test_relative_sparsity_budget_guard():
-    u, lv = fourier_haar_matrix(16)
-    with pytest.raises(SearchBudgetError):
-        relative_sparsity(u, lv, lv, (2, 2, 4, 8), phases=4, max_evaluations=1000)
-
-
-def test_relative_sparsity_requires_even_phase_grid():
-    ls = LevelStructure((0, 2, 4))
-    with pytest.raises(ValueError, match="even"):
-        relative_sparsity(np.eye(4), ls, ls, (1, 1), phases=3)
-
-
-def test_relative_sparsity_rejects_foreign_pattern():
-    ls = LevelStructure((0, 2, 4))
-    other = SparsityPattern(LevelStructure((0, 1, 4)), (1, 1))
-    with pytest.raises(ValueError):
-        relative_sparsity(np.eye(4), ls, ls, other, phases=2)

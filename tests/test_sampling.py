@@ -12,7 +12,6 @@ from ripl_lab import (
     allocate_haar,
     allocate_uniform,
     build_measurement,
-    check_nonuniform_condition,
     dft_matrix,
     draw_scheme,
     fourier_haar_matrix,
@@ -320,48 +319,3 @@ def test_allocate_haar_rejects_non_dyadic_pattern():
     pattern = SparsityPattern(LevelStructure((0, 3, 6)), (1, 1))
     with pytest.raises(LevelError, match="dyadic"):
         allocate_haar(pattern, 0.5, 0.5, 1.0)
-
-
-def test_nonuniform_condition_full_width_passes():
-    prof, lv = _fh_profile(16)
-    res = check_nonuniform_condition(prof, [1.0] * lv.r, lv.widths, c=5.0)
-    assert np.allclose(res.lhs, 0.0)
-    assert res.all_passed
-
-
-def test_nonuniform_condition_zero_coherence_passes():
-    prof, lv = _fh_profile(8)
-    zero = CoherenceProfile(
-        mu_global=prof.mu_global,
-        mu_local=np.zeros_like(prof.mu_local),
-        mu_tilde=np.zeros_like(prof.mu_tilde),
-        sampling=prof.sampling,
-        sparsity=prof.sparsity,
-    )
-    res = check_nonuniform_condition(zero, [3.0, 3.0, 3.0], [1, 1, 1], c=100.0)
-    assert res.all_passed
-
-
-def test_nonuniform_condition_block_diagonal_hand_expansion():
-    # block-diagonal incoherent source: the sum collapses to one term per level
-    f = dft_matrix(4)
-    u = np.zeros((8, 8), dtype=complex)
-    u[:4, :4] = f
-    u[4:, 4:] = f
-    lv = LevelStructure((0, 4, 8))
-    prof = CoherenceProfile.from_matrix(u, lv, lv)
-    assert np.allclose(prof.mu_tilde, np.diag([0.25, 0.25]))
-    s_rel = np.array([2.0, 1.0])
-    m_hat = np.array([2.0, 1.0])
-    res = check_nonuniform_condition(prof, s_rel, m_hat, c=2.0)
-    expected = [2.0 * (4 / 2 - 1) * 0.25 * 2.0, 2.0 * (4 / 1 - 1) * 0.25 * 1.0]
-    assert np.allclose(res.lhs, expected)
-    assert res.passed[0] and not res.passed[1]
-
-
-def test_nonuniform_condition_rejects_bad_inputs():
-    prof, lv = _fh_profile(8)
-    with pytest.raises(ValueError):
-        check_nonuniform_condition(prof, [1, 1, 1], [0, 1, 1])
-    with pytest.raises(ValueError):
-        check_nonuniform_condition(prof, [-1, 1, 1], [1, 1, 1])

@@ -61,17 +61,6 @@ from .sampling import (
 _FORMATS = ("csv", "json")
 
 
-def _plain(value):
-    """Coerce numpy scalars to plain Python for stable text output."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def config_hash(config):
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -95,7 +84,6 @@ def write_json(path, obj):
 
 
 def _cell(value):
-    value = _plain(value)
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
@@ -110,8 +98,7 @@ def write_table(path, header, rows, fmt):
         lines.extend(",".join(_cell(v) for v in row) for row in rows)
         path.write_text("\n".join(lines) + "\n")
     else:
-        records = [{k: _plain(v) for k, v in zip(header, row)} for row in rows]
-        write_json(path, records)
+        write_json(path, [dict(zip(header, row)) for row in rows])
 
 
 def load_config(path):
@@ -128,7 +115,7 @@ def resolve_operator(config, seed=None):
     every other operator; see ``resolve_levels``.
     """
     name = config.get("operator", "fourier-haar")
-    n = int(config.get("N", 0))
+    n = _config_int(config.get("N", 0), "N", 0)
     if name == "fourier-haar":
         u, levels = fourier_haar_matrix(n)
     elif name == "dft":
@@ -156,7 +143,7 @@ def resolve_levels(config, levels):
     ``levels``, and the keys every operator command records: operator, N and
     both boundary lists.  Both structures must end at the operator's N."""
     sampling, sparsity = (
-        LevelStructure(tuple(config[key])) if key in config else levels
+        LevelStructure(_config_ints(config[key], key)) if key in config else levels
         for key in ("sampling_boundaries", "sparsity_boundaries")
     )
     if not sampling.n == sparsity.n == levels.n:
@@ -171,18 +158,30 @@ def resolve_levels(config, levels):
     return sampling, sparsity, resolved
 
 
-def _positive_int(value, name):
-    """``value`` if it is an integer >= 1; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _config_int(value, name, low=1):
+    """``value`` if it is a JSON integer >= ``low``; a bool or a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return value
+
+
+def _config_ints(values, name):
+    """A config list of integers >= 0 as a tuple; the library checks their range."""
+    return tuple(_config_int(value, name, 0) for value in values)
+
+
+def _config_number(value, name):
+    """``value`` as a float if it is a JSON number; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _require_seed(config, args_seed, command):
     seed = args_seed if args_seed is not None else config.get("seed")
     if seed is None:
         raise ValueError(f"the {command} command is randomized: provide --seed or config seed")
-    return int(seed)
+    return _config_int(seed, "seed", 0)
 
 
 def write_outputs(args, resolved, summary_name, summary, tables=()):
@@ -220,15 +219,18 @@ ALLOCATORS = {
 
 
 def _allocation_constants(block):
-    """delta, eps and C of an allocation config block, with their defaults."""
-    return (float(block.get("delta", 0.5)), float(block.get("eps", 0.5)),
-            float(block.get("C", 1.0)))
+    """delta, eps and C of an allocation config block, with their defaults;
+    the allocator checks their range."""
+    return tuple(_config_number(block.get(key, default), key)
+                 for key, default in (("delta", 0.5), ("eps", 0.5), ("C", 1.0)))
 
 
 def cmd_coherence(config, args):
-    seed = args.seed if args.seed is not None else config.get("seed")
-    if config.get("operator", "fourier-haar") == "fourier-haar":
-        table = fourier_haar_table(int(config.get("N", 0)))
+    name = config.get("operator", "fourier-haar")
+    # only the Gaussian operator depends on the seed
+    seed = _require_seed(config, args.seed, "coherence") if name == "gaussian" else None
+    if name == "fourier-haar":
+        table = fourier_haar_table(_config_int(config.get("N", 0), "N", 0))
         sampling, sparsity, resolved = resolve_levels(
             config, LevelStructure.dyadic(table.shape[1] - 1))
         mu_local = fourier_haar_local_coherence(table, sampling, sparsity)
@@ -236,19 +238,22 @@ def cmd_coherence(config, args):
     else:
         u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
         profile = CoherenceProfile.from_matrix(u, sampling, sparsity)
-    name = resolved["operator"]
-    if name == "gaussian":  # only the Gaussian operator depends on the seed
-        resolved["seed"] = int(seed)
+    if seed is not None:
+        resolved["seed"] = seed
+
+    def grid_rows(*columns):  # one row per (k, l), k slowest
+        return zip(*(col.ravel().tolist() for col in columns))
+
+    k, l = np.indices(profile.mu_local.shape) + 1
     summary = {"mu_global": profile.mu_global, "profile": profile.to_dict()}
-    tables = [("coherence_profile", ("k", "l", "mu", "mu_tilde"), profile.rows_csv())]
+    tables = [("coherence_profile", ("k", "l", "mu", "mu_tilde"),
+               grid_rows(k, l, profile.mu_local, profile.mu_tilde))]
     if name == "fourier-haar":
-        k, l = np.indices(profile.mu_local.shape) + 1
         bound = 2.0 ** -k * 2.0 ** -np.abs(k - l)
         ratio = profile.mu_local / bound
         summary["max_decay_ratio"] = ratio.max()
-        columns = (k, l, profile.mu_local, bound, ratio)
-        rows = zip(*(col.ravel().tolist() for col in columns))
-        tables.append(("decay_ratios", ("k", "l", "mu", "bound", "ratio"), rows))
+        tables.append(("decay_ratios", ("k", "l", "mu", "bound", "ratio"),
+                       grid_rows(k, l, profile.mu_local, bound, ratio)))
     write_outputs(args, resolved, "coherence_summary.json", summary, tables)
     print(f"coherence: mu_global = {profile.mu_global!r} ({name}, N = {sampling.n})")
     return 0
@@ -256,15 +261,15 @@ def cmd_coherence(config, args):
 
 def cmd_certify(config, args):
     seed = _require_seed(config, args.seed, "certify")
-    max_supports = _positive_int(config.get("max_supports", 10**6), "max_supports")
-    mc_trials = _positive_int(config.get("mc_trials", 2000), "mc_trials")
+    max_supports = _config_int(config.get("max_supports", 10**6), "max_supports")
+    mc_trials = _config_int(config.get("mc_trials", 2000), "mc_trials")
     per_support = config.get("per_support_csv", False)
     if not isinstance(per_support, bool):
         raise ValueError(f"per_support_csv must be true or false, got {per_support!r}")
     u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
-    pattern = SparsityPattern(sparsity, tuple(config["s"]))
-    r0 = int(config.get("r0", 0))
-    m = tuple(config["m"])
+    pattern = SparsityPattern(sparsity, _config_ints(config["s"], "s"))
+    r0 = _config_int(config.get("r0", 0), "r0", 0)
+    m = _config_ints(config["m"], "m")
 
     scheme_ss, mc_ss = np.random.SeedSequence(seed).spawn(2)
     scheme = draw_scheme(sampling, m, r0=r0, seed=scheme_ss)
@@ -303,7 +308,7 @@ def _solver_options(config):
     if unknown:
         raise ValueError(f"unknown solver option(s) {unknown}; allowed: max_iters, primal_tol")
     if "max_iters" in solver_opts:
-        _positive_int(solver_opts["max_iters"], "solver max_iters")
+        _config_int(solver_opts["max_iters"], "solver max_iters")
     if "primal_tol" in solver_opts:
         tol = solver_opts["primal_tol"]
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
@@ -316,15 +321,16 @@ def cmd_recover(config, args):
     seed = _require_seed(config, args.seed, "recover")
     if config.get("operator") == "gaussian":  # the baseline draws its own matrix per trial
         sampling, sparsity, resolved = resolve_levels(
-            config, LevelStructure.single_level(int(config.get("N", 0))))
+            config, LevelStructure.single_level(_config_int(config.get("N", 0), "N", 0)))
     else:
         u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
-    pattern = SparsityPattern(sparsity, tuple(config["s"]))
-    r0 = int(config.get("r0", 0))
+    pattern = SparsityPattern(sparsity, _config_ints(config["s"], "s"))
+    r0 = _config_int(config.get("r0", 0), "r0", 0)
+    m = _config_ints(config["m"], "m") if "m" in config else None
     trials = config.get("trials", 10)
     if isinstance(trials, bool) or not isinstance(trials, int):
         raise ValueError(f"trials must be an integer, got {trials!r}")
-    eta = float(config.get("eta", 0.0))
+    eta = _config_number(config.get("eta", 0.0), "eta")
     if not 0 <= eta < math.inf:
         raise ValueError(f"eta must be a finite number >= 0, got {eta!r}")
     noise_scaling = config.get("noise_scaling", "plain")
@@ -332,7 +338,7 @@ def cmd_recover(config, args):
         raise ValueError("noise_scaling must be 'plain' or 'sqrtK'")
     weighted = bool(config.get("weighted", False))
     magnitude_model = config.get("magnitude_model", "unit")
-    success_rtol = float(config.get("success_rtol", 1e-4))
+    success_rtol = _config_number(config.get("success_rtol", 1e-4), "success_rtol")
     if not 0 < success_rtol < math.inf:
         raise ValueError(f"success_rtol must be a finite number > 0, got {success_rtol!r}")
     shared = dict(
@@ -346,18 +352,16 @@ def cmd_recover(config, args):
         # baseline: a fresh m_total x N Gaussian matrix per trial, no scheme
         if noise_scaling == "sqrtK":
             raise ValueError("the sqrtK noise convention needs a multilevel scheme")
-        m_total = int(config.get("m_total") or sum(config.get("m", [])))
-        if m_total < 1:
-            raise ValueError("gaussian recover needs m_total (or an m vector to sum)")
+        m_total = _config_int(config.get("m_total", sum(m or ())), "m_total")
         m = (m_total,)
         result = gaussian_recovery_experiment(
             sparsity.n, m_total, pattern, trials, seed, radius=radius, **shared
         )
     else:
-        if "m" in config:
-            m = config["m"]
-        elif config.get("allocation") is not None:
-            block = config["allocation"]
+        if m is None:
+            block = config.get("allocation")
+            if block is None:
+                raise ValueError("recover config needs either m or an allocation block")
             mode = block.get("mode", "haar-uniform")
             constants = _allocation_constants(block)
             # the general mode's coherences are Fourier--Haar's, not the operator's
@@ -365,8 +369,6 @@ def cmd_recover(config, args):
                 raise ValueError(f"unsupported allocation mode {mode!r} in recover")
             alloc = ALLOCATORS[mode](pattern, *constants, r0)
             m = alloc.m
-        else:
-            raise ValueError("recover config needs either m or an allocation block")
         m = _check_counts(sampling, m, r0)
         k = k_factor(sampling, m)
         if noise_scaling == "sqrtK":
@@ -401,9 +403,9 @@ def cmd_recover(config, args):
 
 
 def cmd_allocate(config, args):
-    s = tuple(config["s"])
+    s = _config_ints(config["s"], "s")
     delta, eps, c = _allocation_constants(config)
-    r0 = int(config.get("r0", 0))
+    r0 = _config_int(config.get("r0", 0), "r0", 0)
     modes = list(config.get("modes", ["haar-uniform", "haar-nonuniform"]))
     operator = config.get("operator", "fourier-haar")
     if operator != "fourier-haar":

@@ -117,11 +117,3 @@ class CoherenceProfile:
             "sampling_boundaries": list(self.sampling.boundaries),
             "sparsity_boundaries": list(self.sparsity.boundaries),
         }
-
-    def rows_csv(self):
-        """Rows (k, l, mu, mu_tilde), 1-based levels."""
-        rows = []
-        for k in range(self.sampling.r):
-            for l in range(self.sparsity.r):
-                rows.append((k + 1, l + 1, self.mu_local[k, l], self.mu_tilde[k, l]))
-        return rows

@@ -10,7 +10,6 @@ pattern attaches a non-negative per-level budget s_k <= B_k - B_{k-1}.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -137,19 +136,13 @@ class SparsityPattern:
         """Sparsity ratio rho = max s_k / s_l over pairs with s_l > 0.
 
         Defined only over levels with positive budget.  A mix of zero and
-        positive budgets gives +inf (with a warning), since the defining
-        maximum is unbounded; the degenerate all-zero pattern returns 1.0.
+        positive budgets gives +inf, since the defining maximum is
+        unbounded; the degenerate all-zero pattern returns 1.0.
         """
         pos = [v for v in self.s if v > 0]
         if not pos:
             return 1.0
         if len(pos) < len(self.s):
-            warnings.warn(
-                "sparsity ratio is +inf: some levels have zero budget "
-                "while others are positive",
-                RuntimeWarning,
-                stacklevel=2,
-            )
             return math.inf
         return max(pos) / min(pos)
 

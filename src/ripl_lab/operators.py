@@ -64,19 +64,14 @@ def haar_matrix(n):
     hold the wavelets at scale k-1 ordered by translate, left to right.
     """
     n = _require_pow2(n)
-    r = n.bit_length() - 1
     h = np.zeros((n, n))
     h[:, 0] = 1.0 / np.sqrt(n)
-    col = 1
-    for scale in range(r):
+    rows = np.arange(n)
+    for scale in range(n.bit_length() - 1):
+        # row i lies in translate i // support, which is column 2^scale + i // support
         support = n >> scale
-        half = support // 2
         amp = np.sqrt(2.0**scale / n)
-        for t in range(2**scale):
-            lo = t * support
-            h[lo : lo + half, col] = amp
-            h[lo + half : lo + support, col] = -amp
-            col += 1
+        h[rows, 2**scale + rows // support] = np.where(rows % support < support // 2, amp, -amp)
     return h
 
 

@@ -25,14 +25,13 @@ and a seeded multi-trial recovery experiment harness.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .levels import best_approx_in_levels, random_sparse_vector
 from .operators import gaussian_matrix
-from .sampling import _as_seed_sequence, build_measurement, draw_scheme
+from .sampling import _as_seed_sequence, _trial_count, build_measurement, draw_scheme
 
 __all__ = [
     "QcbpProblem",
@@ -228,9 +227,7 @@ def recovery_metrics(x_true, xhat, pattern, eta=0.0):
     err1 = float(np.sum(np.abs(err)))
     _, sigma = best_approx_in_levels(x_true, pattern)
     s_total = pattern.total
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rho = pattern.ratio
+    rho = pattern.ratio
     r = pattern.levels.r
 
     def ratio(num, denom):
@@ -239,22 +236,13 @@ def recovery_metrics(x_true, xhat, pattern, eta=0.0):
         return num / denom
 
     denom1 = sigma + math.sqrt(s_total) * eta
-    if s_total > 0:
-        sigma_term = sigma / math.sqrt(s_total)
-    else:
-        sigma_term = 0.0 if sigma == 0.0 else math.inf
-    amp = 1.0 + (r * rho) ** 0.25 if math.isfinite(rho) else math.inf
-    denom2 = amp * (sigma_term + eta)
-    if math.isinf(denom2):
-        ratio2 = 0.0
-    else:
-        ratio2 = ratio(err2, denom2)
+    denom2 = (1.0 + (r * rho) ** 0.25) * (ratio(sigma, math.sqrt(s_total)) + eta)
     return {
         "err2": err2,
         "err1": err1,
         "sigma_sM": sigma,
         "bound_ratio_l1": ratio(err1, denom1),
-        "bound_ratio_l2": ratio2,
+        "bound_ratio_l2": ratio(err2, denom2),
     }
 
 
@@ -267,9 +255,7 @@ class ExperimentResult:
 def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radius,
                          weighted, solver_opts, success_rtol, magnitude_model):
     """Run the trials; ``make_matrix(seed)`` draws A, ``m_record`` is each trial's m."""
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _trial_count(trials)
     ball_radius = float(radius) if radius is not None else float(eta)
     # one weight per column, w_j = 1/sqrt(s_k) on level k, built once
     w = (np.repeat(inverse_sqrt_level_weights(pattern), pattern.levels.widths)

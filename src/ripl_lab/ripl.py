@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .levels import SparsityPattern, count_supports, random_sparse_vector, support_blocks
-from .sampling import MeasurementOperator, _as_seed_sequence
+from .sampling import MeasurementOperator, _as_seed_sequence, _trial_count
 
 __all__ = [
     "EnumerationBudgetError",
@@ -39,13 +39,14 @@ class EnumerationBudgetError(RuntimeError):
     """Exact enumeration would exceed the configured support budget."""
 
 
-def _as_matrix(a):
-    if isinstance(a, MeasurementOperator):
-        return a.a
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    return a
+def _as_matrix(a, pattern):
+    """The matrix of ``a``, checked to have one column per index of ``pattern``."""
+    mat = a.a if isinstance(a, MeasurementOperator) else np.asarray(a)
+    if mat.ndim != 2 or mat.shape[1] != pattern.levels.n:
+        raise ValueError(
+            f"expected a matrix with {pattern.levels.n} columns, got shape {mat.shape}"
+        )
+    return mat
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,7 @@ def ricl_exact(a, pattern, max_supports=10**6):
     :class:`EnumerationBudgetError` when the support count exceeds
     ``max_supports``.
     """
-    mat = _as_matrix(a)
-    if mat.shape[1] != pattern.levels.n:
-        raise ValueError(
-            f"matrix has {mat.shape[1]} columns, pattern lives in dimension {pattern.levels.n}"
-        )
+    mat = _as_matrix(a, pattern)
     n_supports = count_supports(pattern)
     if n_supports > max_supports:
         raise EnumerationBudgetError(
@@ -166,14 +163,8 @@ def ricl_monte_carlo(a, pattern, trials, seed):
     first T streams do not depend on the total) and never exceeds the
     exact constant.
     """
-    mat = _as_matrix(a)
-    if mat.shape[1] != pattern.levels.n:
-        raise ValueError(
-            f"matrix has {mat.shape[1]} columns, pattern lives in dimension {pattern.levels.n}"
-        )
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    mat = _as_matrix(a, pattern)
+    trials = _trial_count(trials)
     if pattern.total == 0:
         return RiclReport(0.0, "monte-carlo", pattern, (), None, 0)
 
@@ -270,16 +261,8 @@ def certify_recovery(a, pattern, max_supports=10**6, mc_trials=2000, seed=None):
     not that recovery is impossible.
     """
     doubled, clamped = pattern.doubled()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rho = pattern.ratio
-    threshold = ripl_threshold(pattern.levels.r, rho) if math.isfinite(rho) else 0.0
-    if math.isinf(rho):
-        warnings.warn(
-            "infinite sparsity ratio: certification can never be sufficient",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    rho = pattern.ratio
+    threshold = ripl_threshold(pattern.levels.r, rho)
 
     if count_supports(doubled) <= max_supports:
         report = ricl_exact(a, doubled, max_supports=max_supports)

@@ -28,6 +28,7 @@ so guarantees are faithful only for sufficiently large C.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -108,6 +109,13 @@ def _as_seed_sequence(seed):
         return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
                                       pool_size=seed.pool_size)
     return np.random.SeedSequence(int(seed))
+
+
+def _trial_count(trials):
+    """``trials`` as an int if it is an integer >= 1; numpy integers count, floats do not."""
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    return int(trials)
 
 
 def _check_counts(levels, m, r0=0):

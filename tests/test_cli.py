@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -340,9 +341,11 @@ def test_recover_bad_solver_value_fails_before_trials(tmp_path, capsys, solver, 
         ("success_rtol", float("inf"), "success_rtol must be a finite number > 0, got inf"),
         ("trials", 2.5, "trials must be an integer, got 2.5"),
         ("trials", "3", "trials must be an integer, got '3'"),
+        ("eta", "0.5", "eta must be a number, got '0.5'"),
+        ("success_rtol", True, "success_rtol must be a number, got True"),
     ],
     ids=["eta-nan", "eta-negative", "eta-inf", "rtol-nan", "rtol-zero", "rtol-inf",
-         "trials-float", "trials-str"],
+         "trials-float", "trials-str", "eta-str", "rtol-bool"],
 )
 def test_recover_bad_scalar_fails_before_trials(tmp_path, capsys, monkeypatch, key, value, message):
     def no_trials(*args, **kwargs):
@@ -525,3 +528,95 @@ def test_resolved_config_hash_and_files_pinned(tmp_path, command):
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
     assert {p.name for p in out.iterdir()} == files
     assert json.loads((out / summary_name).read_text())["config_hash"] == digest
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_RUNS))
+def test_pinned_runs_write_plain_cells(tmp_path, command):
+    # every table cell reaches the writer as a plain Python value: a numpy
+    # integer or bool would stop json.dumps, a numpy float's repr reads np.float64(...)
+    payload, _, summary_name, _ = _PINNED_RUNS[command]
+    cfg = _write_config(tmp_path, "c.json", payload)
+    for fmt in ("json", "csv"):
+        out = tmp_path / fmt
+        assert main([command, "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        for path in (p for p in out.iterdir() if p.name != summary_name):
+            if fmt == "json":
+                for record in json.loads(path.read_text()):
+                    assert all(type(v) in (int, float, bool, str) for v in record.values())
+            else:
+                assert "np." not in path.read_text(), path.name
+
+
+def test_zero_budget_level_warns_once(tmp_path):
+    # the infinite sparsity ratio of a zero-budget level is one cause with one
+    # warning, from the recovery threshold; recover never takes the threshold
+    base = {"operator": "fourier-haar", "N": 16, "m": [2, 2, 4, 8], "r0": 4,
+            "s": [1, 0, 1, 1], "seed": 7}
+    runs = {"certify": base, "recover": dict(base, trials=2)}
+    caught = {}
+    for command, payload in runs.items():
+        cfg = _write_config(tmp_path, f"{command}.json", payload)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        caught[command] = [str(w.message) for w in seen if w.category is RuntimeWarning]
+    assert caught == {
+        "certify": ["infinite sparsity ratio: recovery threshold degenerates to 0"],
+        "recover": [],
+    }
+
+
+_BASE_CONFIGS = {
+    "coherence": {"operator": "fourier-haar", "N": 16},
+    "certify": {"operator": "fourier-haar", "N": 16, "m": [2, 2, 4, 8], "r0": 2,
+                "s": [1, 1, 1, 1], "seed": 7},
+    "recover": {"operator": "fourier-haar", "N": 16, "m": [2, 2, 4, 8], "r0": 2,
+                "s": [1, 1, 1, 1], "trials": 1, "seed": 7},
+    "gaussian-recover": {"operator": "gaussian", "N": 16, "s": [1], "m_total": 8,
+                         "trials": 1, "seed": 7},
+    "allocate": {"s": [1, 1, 2], "r0": 0},
+}
+
+
+@pytest.mark.parametrize("base, key, value, message", [
+    ("certify", "r0", 2.7, "r0 must be an integer >= 0, got 2.7"),
+    ("certify", "s", [1.5, 1, 1, 1], "s must be an integer >= 0, got 1.5"),
+    ("coherence", "N", 16.9, "N must be an integer >= 0, got 16.9"),
+    ("recover", "m", [2, 2, 4.9, 8], "m must be an integer >= 0, got 4.9"),
+    ("coherence", "sampling_boundaries", [0, 7.5, 16],
+     "sampling_boundaries must be an integer >= 0, got 7.5"),
+    ("gaussian-recover", "m_total", 9.7, "m_total must be an integer >= 1, got 9.7"),
+    ("certify", "seed", 7.9, "seed must be an integer >= 0, got 7.9"),
+    ("recover", "seed", 7.9, "seed must be an integer >= 0, got 7.9"),
+    ("recover", "r0", True, "r0 must be an integer >= 0, got True"),
+    ("allocate", "s", [1, "1", 2], "s must be an integer >= 0, got '1'"),
+    ("allocate", "r0", 1.0, "r0 must be an integer >= 0, got 1.0"),
+])
+def test_integer_keys_must_be_json_integers(tmp_path, capsys, base, key, value, message):
+    # int() used to truncate each of these and record the truncated value
+    cfg = _write_config(tmp_path, "c.json", dict(_BASE_CONFIGS[base], **{key: value}))
+    out = tmp_path / "o"
+    assert main([base.removeprefix("gaussian-"), "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base, block, key, value", [
+    ("allocate", None, "C", "0.5"),
+    ("allocate", None, "C", True),
+    ("allocate", None, "eps", [0.5]),
+    ("recover", "allocation", "delta", "0.5"),
+])
+def test_allocation_constants_must_be_json_numbers(tmp_path, capsys, base, block, key, value):
+    # float() used to take "0.5" as 0.5 and true as 1.0
+    config = dict(_BASE_CONFIGS[base])
+    if block is None:
+        config[key] = value
+    else:
+        config.pop("m")
+        config[block] = {"mode": "haar-uniform", key: value}
+    cfg = _write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main([base, "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: {key} must be a number, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()

@@ -59,6 +59,30 @@ def test_haar_orthonormal(n):
     assert is_isometry(haar_matrix(n), 1e-10)
 
 
+def _haar_per_translate(n):
+    """The Haar basis built one translate at a time: the oracle for haar_matrix."""
+    h = np.zeros((n, n))
+    h[:, 0] = 1.0 / np.sqrt(n)
+    col = 1
+    for scale in range(n.bit_length() - 1):
+        support = n >> scale
+        half = support // 2
+        amp = np.sqrt(2.0**scale / n)
+        for t in range(2**scale):
+            lo = t * support
+            h[lo : lo + half, col] = amp
+            h[lo + half : lo + support, col] = -amp
+            col += 1
+    return h
+
+
+def test_haar_matches_per_translate_oracle_bit_for_bit():
+    # compared as integers, so a -0.0 where the oracle has +0.0 fails
+    for n in POW2 + [2048, 4096]:
+        assert np.array_equal(haar_matrix(n).view(np.uint64),
+                              _haar_per_translate(n).view(np.uint64)), n
+
+
 def test_haar_scaling_and_mother_columns():
     n = 8
     h = haar_matrix(n)

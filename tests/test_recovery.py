@@ -207,6 +207,16 @@ def test_experiment_grossly_undersampled_fails():
     assert res.success_rate <= 0.25
 
 
+def test_experiment_rejects_non_integer_trials():
+    # int(2.9) used to run 2 trials without a word
+    u, lv = fourier_haar_matrix(8)
+    pattern = SparsityPattern(lv, (1, 1, 1))
+    with pytest.raises(ValueError, match="trials must be an integer >= 1, got 2.9"):
+        exact_recovery_experiment(u, lv, lv.widths, lv.r, pattern, 2.9, seed=7)
+    res = exact_recovery_experiment(u, lv, lv.widths, lv.r, pattern, np.int64(2), seed=7)
+    assert len(res.records) == 2
+
+
 def test_experiment_deterministic_replay():
     u, lv = fourier_haar_matrix(8)
     pattern = SparsityPattern(lv, (1, 1, 1))

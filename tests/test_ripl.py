@@ -193,6 +193,16 @@ def test_ricl_monte_carlo_saturated_is_zero():
     assert rep.delta <= 1e-10
 
 
+@pytest.mark.parametrize("trials", [2.9, "3", 0])
+def test_ricl_monte_carlo_rejects_non_integer_trials(trials):
+    # int(2.9) used to run 2 trials without a word
+    a = np.eye(4, dtype=complex)
+    pattern = SparsityPattern(LevelStructure((0, 4)), (1,))
+    with pytest.raises(ValueError, match=f"trials must be an integer >= 1, got {trials!r}"):
+        ricl_monte_carlo(a, pattern, trials=trials, seed=1)
+    assert ricl_monte_carlo(a, pattern, trials=np.int64(3), seed=1).supports_examined == 3
+
+
 def test_ricl_monte_carlo_nested_monotone_and_below_exact():
     u, lv = fourier_haar_matrix(16)
     pattern = SparsityPattern(lv, (1, 1, 1, 1))

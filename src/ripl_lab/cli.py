@@ -43,6 +43,7 @@ from .operators import (
 )
 from .recovery import (
     QcbpProblem,
+    _solve_stack,
     exact_recovery_experiment,
     gaussian_recovery_experiment,
     solve_qcbp,
@@ -336,7 +337,9 @@ def cmd_recover(config, args):
     noise_scaling = config.get("noise_scaling", "plain")
     if noise_scaling not in ("plain", "sqrtK"):
         raise ValueError("noise_scaling must be 'plain' or 'sqrtK'")
-    weighted = bool(config.get("weighted", False))
+    weighted = config.get("weighted", False)
+    if not isinstance(weighted, bool):
+        raise ValueError(f"weighted must be true or false, got {weighted!r}")
     magnitude_model = config.get("magnitude_model", "unit")
     success_rtol = _config_number(config.get("success_rtol", 1e-4), "success_rtol")
     if not 0 < success_rtol < math.inf:
@@ -488,6 +491,20 @@ def cmd_selftest(config, args):
         "qcbp shrinks toward the feasible ball",
         res.converged and np.allclose(res.xhat, [1.0, 0.0], atol=1e-5),
     )
+
+    # stacked trials must keep the bits of a solve on its own on this BLAS
+    # (trial 0 converges first, so trial 1 moves down the stack)
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((2, 6, 10)) + 1j * rng.standard_normal((2, 6, 10))
+    y = a[:, :, :3] @ np.array([1.0, 1.0, -0.5])  # x has 3 nonzeros
+    y[1] += 0.01
+    alone = [solve_qcbp(QcbpProblem(a=a_b, y=y_b, eta=0.02)) for a_b, y_b in zip(a, y)]
+    stacked = _solve_stack(a.copy(), y.copy(), 0.02, np.ones(10))
+    check("a stack of two qcbp solves matches each solve alone bit for bit", all(
+        np.array_equal(one.xhat.view(np.uint64), two.xhat.view(np.uint64))
+        and (one.objective, one.residual, one.iterations, one.converged, one.gap)
+        == (two.objective, two.residual, two.iterations, two.converged, two.gap)
+        for one, two in zip(alone, stacked)))
 
     s1 = draw_scheme(levels, (2, 2, 2, 4), r0=2, seed=123)
     s2 = draw_scheme(levels, (2, 2, 2, 4), r0=2, seed=123)

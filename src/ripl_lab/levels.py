@@ -10,6 +10,7 @@ pattern attaches a non-negative per-level budget s_k <= B_k - B_{k-1}.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -38,7 +39,7 @@ def validate_boundaries(boundaries, n=None):
     strictly increasing (an equal pair would mean an empty level), or its
     last entry differs from an explicitly expected dimension ``n``.
     """
-    b = tuple(int(v) for v in boundaries)
+    b = tuple(operator.index(v) for v in boundaries)
     if len(b) < 2:
         raise LevelError("need at least one level: boundaries (0, ..., N)")
     if b[0] != 0:
@@ -117,7 +118,7 @@ class SparsityPattern:
     s: tuple
 
     def __post_init__(self):
-        s = tuple(int(v) for v in self.s)
+        s = tuple(operator.index(v) for v in self.s)
         object.__setattr__(self, "s", s)
         if len(s) != self.levels.r:
             raise LevelError(f"pattern length {len(s)} != level count {self.levels.r}")

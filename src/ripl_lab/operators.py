@@ -40,7 +40,8 @@ def _require_pow2(n):
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"N must be a power of two >= 2, got {n}")
     if n > _MAX_DENSE_N:
-        raise ValueError(f"dense construction capped at N = {_MAX_DENSE_N}")
+        raise ValueError(f"dense construction capped at N = {_MAX_DENSE_N}; "
+                         f"the |U|^2 table keeps the same cap (got N = {n})")
     return n
 
 

@@ -20,11 +20,17 @@ from above.
 
 Also provides error metrics against the level-sparse approximation
 bounds (diagnostic ratios: the bounds hold up to unspecified constants)
-and a seeded multi-trial recovery experiment harness.
+and a seeded multi-trial recovery experiment harness.  The harness
+solves the trials of a run together, in stacks of at most 512 KiB of
+operator (at least two trials each): every trial takes its step in one
+set of batched numpy calls and leaves the stack at its own convergence
+check, and every result is bit for bit that of a solve on its own
+(:func:`solve_qcbp` is a stack of one on the same loop).
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,11 +102,151 @@ _WEIGHT_EVERY = 100  # iterations between primal-weight updates
 _WEIGHT_SMOOTHING = 0.2  # theta: log-space step toward ||dq|| / ||dz||
 _STABILITY_WINDOW = 100  # iterations over which the objective must be stable
 _FEASIBILITY_TOL = 1e-9
+_STACK_BYTES = 1 << 19  # operator bytes in one solver stack, which holds >= 2 trials
 
 
 def _soft_threshold(z, thresh):
     # thresh > 0, so a zero entry gives thresh/0 = inf and a scale of 0
     return z * np.maximum(1.0 - thresh / np.abs(z), 0.0)
+
+
+# The batched kernels below reproduce, row by row, the bits of the 1-D
+# calls of a solve on its own (np.linalg.norm(x, axis=1) and complex
+# np.vecdot do not).
+def _row_norms(x):
+    """The 2-norm of each complex row, as the 1-D np.linalg.norm computes it."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _forward(a, z):
+    return (a @ z[:, :, None])[:, :, 0]
+
+
+def _adjoint(a, q):
+    """A_b^H q_b for each trial b, with no conjugate copy of the stack."""
+    if np.iscomplexobj(a):
+        return np.conj(np.conj(q)[:, None, :] @ a)[:, 0, :]
+    return (a.transpose(0, 2, 1) @ q[:, :, None])[:, :, 0]
+
+
+def _compact_rows(keep, *arrays):
+    """Move rows ``keep`` (ascending) of each array to its prefix, in place."""
+    for dst, src in enumerate(keep):
+        if dst != src:
+            for arr in arrays:
+                arr[dst] = arr[src]
+
+
+def _solve_stack(a, y, eta, w, max_iters=50000, primal_tol=1e-7):
+    """:func:`solve_qcbp` on a stack of problems that share ``eta`` and ``w``.
+
+    ``a`` is (B, m, n) and ``y`` is (B, m) complex.  Returns one
+    SolveResult per trial, each bit for bit that of solving the trial on
+    its own.  All trials take each step in one set of batched calls, and
+    each leaves the stack at its own convergence check; the rows of ``a``
+    and ``y`` are reordered in place as trials leave.
+    """
+    count, m, n = a.shape
+    results = [None] * count
+    norms = np.array([np.linalg.norm(row, 2) for row in a])
+    for b in np.flatnonzero(norms == 0.0):
+        # zero operator: any z is feasible iff ||y|| <= eta; minimum is 0
+        resid = float(np.linalg.norm(y[b]))
+        results[b] = SolveResult(np.zeros(n, dtype=np.complex128), 0.0, resid, 0,
+                                 resid <= eta + _FEASIBILITY_TOL, 0.0)
+    idx = np.flatnonzero(norms != 0.0)  # the trial of each row still iterating
+    if not idx.size:
+        return results
+    _compact_rows(idx, a, y)
+    a, y = a[:idx.size], y[:idx.size]
+    # sigma tau ||A||^2 = 1/1.02^2 < 1 for every primal weight omega
+    step = 1.0 / (1.02 * norms[idx, None])  # steps and weights are columns
+    omega = np.ones((idx.size, 1))
+    sigma = tau = step
+    thresh = tau * w
+
+    z = np.zeros((idx.size, n), dtype=np.complex128)
+    zbar = z.copy()
+    q = np.zeros((idx.size, m), dtype=np.complex128)
+    z_last, q_last = z, q
+
+    window_checks = _STABILITY_WINDOW // _CHECK_EVERY
+    history = np.zeros((idx.size, window_checks))  # objectives, a ring over checks
+    checks = 0
+    it = 0
+    converged = np.zeros(idx.size, dtype=bool)
+    gap = np.full(idx.size, math.inf)
+    objective = np.zeros(idx.size)  # at z = 0
+    residual = _row_norms(y)
+
+    def leave(rows):
+        for b in rows:
+            results[idx[b]] = SolveResult(z[b].copy(), float(objective[b]), float(residual[b]),
+                                          it, bool(converged[b]), float(gap[b]))
+
+    # one errstate for the solve: thresh/0 in the soft-threshold and
+    # inf weight times 0 in the objective are expected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iters + 1):
+            u = q + sigma * _forward(a, zbar)
+            if eta == 0.0:
+                proj = y
+            else:
+                d = u / sigma - y
+                nd = _row_norms(d)
+                proj = y + d * np.minimum(1.0, eta / nd)[:, None]
+                if not nd.all():  # d = 0 projects to y itself
+                    proj[nd == 0] = y[nd == 0]
+            q = u - sigma * proj
+            a_h_q = _adjoint(a, q)
+            z_new = _soft_threshold(z - tau * a_h_q, thresh)
+            zbar = 2.0 * z_new - z
+            z = z_new
+
+            if it % _WEIGHT_EVERY == 0:
+                dzs = _row_norms(z - z_last).tolist()
+                dqs = _row_norms(q - q_last).tolist()
+                # math per trial: vectorised np.exp and np.log round a few
+                # values in a thousand differently
+                for b, (dz, dq) in enumerate(zip(dzs, dqs)):
+                    if dz > 0.0 and dq > 0.0:
+                        omega[b, 0] = math.exp(_WEIGHT_SMOOTHING * math.log(dq / dz)
+                                               + (1.0 - _WEIGHT_SMOOTHING) * math.log(omega[b, 0]))
+                tau, sigma = step / omega, step * omega
+                thresh = tau * w
+                z_last, q_last = z, q
+
+            if it % _CHECK_EVERY == 0 or it == max_iters:
+                residual = _row_norms(_forward(a, z) - y)
+                mag = np.abs(z)
+                objective = np.sum(np.where(mag == 0, 0.0, w * mag), axis=1)
+                # q / scale_q is dual-feasible; inf weights contribute 0
+                # (fmax, as Python's max(1.0, nan) is 1.0)
+                scale_q = np.fmax(1.0, np.max(np.abs(a_h_q) / w, axis=1))
+                qf = q / scale_q[:, None]
+                vdot = (np.conj(qf)[:, None, :] @ y[:, :, None])[:, 0, 0]
+                dual = -vdot.real - eta * _row_norms(qf)
+                gap = objective - dual
+                rel_gap = np.abs(gap) / (1.0 + np.abs(objective))
+                slot = checks % window_checks
+                stable = (checks >= window_checks) & (
+                    np.abs(objective - history[:, slot]) <= primal_tol * (1.0 + np.abs(objective)))
+                history[:, slot] = objective
+                checks += 1
+                feasible = residual <= eta + _FEASIBILITY_TOL
+                converged = feasible & (rel_gap <= primal_tol) & stable
+                if it < max_iters and converged.any():
+                    leave(np.flatnonzero(converged))
+                    keep = np.flatnonzero(~converged)
+                    _compact_rows(keep, a, y)
+                    a, y = a[:keep.size], y[:keep.size]
+                    (idx, z, zbar, q, z_last, q_last, step, omega, tau, sigma, thresh,
+                     history) = (v[keep] for v in (idx, z, zbar, q, z_last, q_last, step,
+                                                   omega, tau, sigma, thresh, history))
+                    if not keep.size:
+                        break
+    leave(range(idx.size))  # the cap (or max_iters < 1) ends every trial still iterating
+    return results
 
 
 def solve_qcbp(problem, max_iters=50000, primal_tol=1e-7):
@@ -119,94 +265,8 @@ def solve_qcbp(problem, max_iters=50000, primal_tol=1e-7):
     misreads).  Hitting the iteration cap returns the current iterate
     flagged ``converged=False``.  Deterministic for fixed inputs.
     """
-    a = problem.a
-    y = problem.y
-    eta = float(problem.eta)
-    w = problem.w
-    m, n = a.shape
-    a_h = a.conj().T
-
-    norm_a = float(np.linalg.norm(a, 2))
-    if norm_a == 0.0:
-        # zero operator: any z is feasible iff ||y|| <= eta; minimum is 0
-        xhat = np.zeros(n, dtype=np.complex128)
-        resid = float(np.linalg.norm(y))
-        return SolveResult(xhat, 0.0, resid, 0, resid <= eta + _FEASIBILITY_TOL, 0.0)
-    # sigma tau ||A||^2 = 1/1.02^2 < 1 for every primal weight omega
-    step = 1.0 / (1.02 * norm_a)
-    omega = 1.0
-    sigma = tau = step
-
-    z = np.zeros(n, dtype=np.complex128)
-    zbar = z.copy()
-    q = np.zeros(m, dtype=np.complex128)
-    z_last, q_last = z, q
-    thresh = tau * w
-
-    history = []
-    window_checks = _STABILITY_WINDOW // _CHECK_EVERY
-    it = 0
-    converged = False
-    gap = math.inf
-    objective = 0.0  # at z = 0
-    residual = float(np.linalg.norm(y))
-
-    # one errstate for the solve: thresh/0 in the soft-threshold and
-    # inf weight times 0 in the objective are expected
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, max_iters + 1):
-            u = q + sigma * (a @ zbar)
-            if eta == 0.0:
-                proj = y
-            else:
-                d = u / sigma - y
-                nd = float(np.linalg.norm(d))
-                proj = y + d * min(1.0, eta / nd) if nd > 0 else y
-            q = u - sigma * proj
-            a_h_q = a_h @ q
-            z_new = _soft_threshold(z - tau * a_h_q, thresh)
-            zbar = 2.0 * z_new - z
-            z = z_new
-
-            if it % _WEIGHT_EVERY == 0:
-                dz = float(np.linalg.norm(z - z_last))
-                dq = float(np.linalg.norm(q - q_last))
-                if dz > 0.0 and dq > 0.0:
-                    omega = math.exp(_WEIGHT_SMOOTHING * math.log(dq / dz)
-                                     + (1.0 - _WEIGHT_SMOOTHING) * math.log(omega))
-                    tau, sigma = step / omega, step * omega
-                    thresh = tau * w
-                z_last, q_last = z, q
-
-            if it % _CHECK_EVERY == 0 or it == max_iters:
-                residual = float(np.linalg.norm(a @ z - y))
-                mag = np.abs(z)
-                objective = float(np.sum(np.where(mag == 0, 0.0, w * mag)))
-                # q / scale_q is dual-feasible; inf weights contribute 0
-                scale_q = max(1.0, float(np.max(np.abs(a_h_q) / w)))
-                qf = q / scale_q
-                dual = -float(np.real(np.vdot(qf, y))) - eta * float(np.linalg.norm(qf))
-                gap = objective - dual
-                rel_gap = abs(gap) / (1.0 + abs(objective))
-                history.append(objective)
-                stable = (
-                    len(history) > window_checks
-                    and abs(history[-1] - history[-1 - window_checks])
-                    <= primal_tol * (1.0 + abs(objective))
-                )
-                feasible = residual <= eta + _FEASIBILITY_TOL
-                if feasible and rel_gap <= primal_tol and stable:
-                    converged = True
-                    break
-
-    return SolveResult(
-        xhat=z,
-        objective=objective,
-        residual=residual,
-        iterations=it,
-        converged=converged,
-        gap=float(gap),
-    )
+    return _solve_stack(problem.a[None], problem.y[None], float(problem.eta), problem.w,
+                        max_iters, primal_tol)[0]
 
 
 def recovery_metrics(x_true, xhat, pattern, eta=0.0):
@@ -254,14 +314,22 @@ class ExperimentResult:
 
 def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radius,
                          weighted, solver_opts, success_rtol, magnitude_model):
-    """Run the trials; ``make_matrix(seed)`` draws A, ``m_record`` is each trial's m."""
+    """Run the trials; ``make_matrix(seed)`` draws A, ``m_record`` is each trial's m.
+
+    Trials are drawn into a stack of at most ``_STACK_BYTES`` of operator
+    (at least two trials) and solved together by :func:`_solve_stack`.
+    """
     trials = _trial_count(trials)
     ball_radius = float(radius) if radius is not None else float(eta)
+    if not ball_radius >= 0:  # NaN fails this too, as in QcbpProblem
+        raise ValueError("eta must be >= 0")
     # one weight per column, w_j = 1/sqrt(s_k) on level k, built once
     w = (np.repeat(inverse_sqrt_level_weights(pattern), pattern.levels.widths)
-         if weighted else None)
+         if weighted else np.ones(pattern.levels.n))
 
     records = []
+    a_stack = y_stack = None
+    signals = []  # the true vector of each trial in the current stack
     for index, child in enumerate(_as_seed_sequence(seed).spawn(trials)):
         matrix_ss, x_ss, noise_ss = child.spawn(3)
         a = make_matrix(matrix_ss)
@@ -271,23 +339,36 @@ def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radi
             rng_noise = np.random.default_rng(noise_ss)
             direction = rng_noise.standard_normal(len(y)) + 1j * rng_noise.standard_normal(len(y))
             y = y + direction * (eta / np.linalg.norm(direction))
-        result = solve_qcbp(QcbpProblem(a=a, y=y, eta=ball_radius, w=w), **(solver_opts or {}))
-        metrics = recovery_metrics(x, result.xhat, pattern, eta=eta)
-        xnorm = float(np.linalg.norm(x))
-        rel = metrics["err2"] / xnorm if xnorm > 0 else 0.0
-        records.append({
-            "trial": index,
-            "m": m_record,
-            "err2": metrics["err2"],
-            "err1": metrics["err1"],
-            "rel_err": rel,
-            "success": rel <= success_rtol,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "gap": result.gap,
-            "bound_ratio_l1": metrics["bound_ratio_l1"],
-            "bound_ratio_l2": metrics["bound_ratio_l2"],
-        })
+        if a_stack is None:
+            depth = min(trials, max(2, _STACK_BYTES // a.nbytes))
+            a_stack = np.empty((depth,) + a.shape, dtype=a.dtype)
+            y_stack = np.empty((depth, len(y)), dtype=np.complex128)
+        a_stack[len(signals)] = a
+        y_stack[len(signals)] = y
+        signals.append(x)
+        del a  # the stack holds the only copy
+        if len(signals) < len(a_stack) and index < trials - 1:
+            continue
+        results = _solve_stack(a_stack[:len(signals)], y_stack[:len(signals)], ball_radius, w,
+                               **(solver_opts or {}))
+        for x, result in zip(signals, results):
+            metrics = recovery_metrics(x, result.xhat, pattern, eta=eta)
+            xnorm = float(np.linalg.norm(x))
+            rel = metrics["err2"] / xnorm if xnorm > 0 else 0.0
+            records.append({
+                "trial": len(records),
+                "m": m_record,
+                "err2": metrics["err2"],
+                "err1": metrics["err1"],
+                "rel_err": rel,
+                "success": rel <= success_rtol,
+                "converged": result.converged,
+                "iterations": result.iterations,
+                "gap": result.gap,
+                "bound_ratio_l1": metrics["bound_ratio_l1"],
+                "bound_ratio_l2": metrics["bound_ratio_l2"],
+            })
+        signals = []
     rate = sum(1 for rec in records if rec["success"]) / trials
     return ExperimentResult(success_rate=rate, records=tuple(records))
 
@@ -307,7 +388,7 @@ def exact_recovery_experiment(u, levels, m, r0, pattern, trials, seed, eta=0.0,
     so results are independent of execution order; solver
     non-convergence is recorded per trial, never raised.
     """
-    m = tuple(int(v) for v in m)
+    m = tuple(operator.index(v) for v in m)
     return _run_recovery_trials(
         lambda ss: build_measurement(u, draw_scheme(levels, m, r0=r0, seed=ss)).a, list(m),
         pattern, trials, seed, eta, radius, weighted, solver_opts,
@@ -325,7 +406,7 @@ def gaussian_recovery_experiment(n, m_total, pattern, trials, seed, eta=0.0,
     trial solves for the same signal vector, making the two directly
     comparable trial by trial.
     """
-    m_total = int(m_total)
+    m_total = operator.index(m_total)
     return _run_recovery_trials(
         lambda ss: gaussian_matrix(m_total, n, np.random.default_rng(ss)), [m_total],
         pattern, trials, seed, eta, radius, weighted, solver_opts,

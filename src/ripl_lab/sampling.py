@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -108,7 +109,7 @@ def _as_seed_sequence(seed):
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
                                       pool_size=seed.pool_size)
-    return np.random.SeedSequence(int(seed))
+    return np.random.SeedSequence(operator.index(seed))
 
 
 def _trial_count(trials):
@@ -124,7 +125,7 @@ def _check_counts(levels, m, r0=0):
     Levels 1..r0 must be requested at full width; the others need
     m_k >= 1.  Returns m as ints.
     """
-    m = tuple(int(v) for v in m)
+    m = tuple(operator.index(v) for v in m)
     if len(m) != levels.r:
         raise LevelError(f"m has {len(m)} entries for {levels.r} levels")
     if not 0 <= r0 <= levels.r:
@@ -199,10 +200,13 @@ def build_measurement(u, scheme):
         raise ValueError(
             f"scheme levels end at {scheme.levels.n}, matrix is {u.shape[0]} x {u.shape[1]}"
         )
-    a = np.vstack([
-        u[np.asarray(dk, dtype=np.intp) - 1] / math.sqrt(pk)
-        for dk, pk in zip(scheme.draws, scheme.densities())
-    ])
+    # each level's rows are scaled straight into the matrix: no stacked copy
+    a = np.empty((sum(scheme.m), u.shape[1]), dtype=np.result_type(u, 1.0))
+    start = 0
+    for dk, pk in zip(scheme.draws, scheme.densities()):
+        np.divide(u[np.asarray(dk, dtype=np.intp) - 1], math.sqrt(pk),
+                  out=a[start:start + len(dk)])
+        start += len(dk)
     return MeasurementOperator(a=a, scheme=scheme, k_factor=k_factor(scheme.levels, scheme.m))
 
 

@@ -362,6 +362,22 @@ def test_recover_bad_scalar_fails_before_trials(tmp_path, capsys, monkeypatch, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_recover_weighted_must_be_a_bool(tmp_path, capsys, monkeypatch, value):
+    # bool("false") is True: the run used to weigh and record "weighted": true
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("ripl_lab.cli.exact_recovery_experiment", no_trials)
+    config = {"operator": "fourier-haar", "N": 16, "m": [2, 2, 4, 8], "s": [1, 1, 1, 1],
+              "trials": 1, "seed": 1, "weighted": value}
+    cfg = _write_config(tmp_path, "rec.json", config)
+    out = tmp_path / "o"
+    assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: weighted must be true or false, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [

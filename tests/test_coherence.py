@@ -119,3 +119,11 @@ def test_fourier_haar_table_validates_n_and_levels():
     with pytest.raises(ValueError, match="sampling levels end at 8"):
         fourier_haar_local_coherence(fourier_haar_table(16), LevelStructure((0, 8)),
                                      LevelStructure((0, 16)))
+
+
+def test_n_cap_message_holds_for_dense_and_table():
+    # the table path builds nothing dense, so the message names both paths
+    message = r"dense construction capped at N = 4096; the \|U\|\^2 table keeps the same cap"
+    for build in (fourier_haar_table, fourier_haar_matrix):
+        with pytest.raises(ValueError, match=message + r" \(got N = 8192\)"):
+            build(8192)

@@ -41,6 +41,13 @@ def test_validate_requires_leading_zero():
         validate_boundaries((1, 4))
 
 
+def test_boundaries_are_integers_not_truncated():
+    # int() used to turn (0, 2.7, 4) into (0, 2, 4)
+    with pytest.raises(TypeError):
+        LevelStructure((0, 2.7, 4))
+    assert LevelStructure((0, np.int64(2), 4)).boundaries == (0, 2, 4)
+
+
 def test_level_structure_basics():
     ls = LevelStructure((0, 2, 4, 8))
     assert ls.r == 3
@@ -55,6 +62,14 @@ def test_pattern_rejects_budget_over_width():
     ls = LevelStructure((0, 2, 4))
     with pytest.raises(LevelError, match="exceeds level width"):
         SparsityPattern(ls, (3, 1))
+
+
+def test_pattern_budgets_are_integers_not_truncated():
+    # int() used to turn s = (1.5, 1) into (1, 1)
+    lv = LevelStructure((0, 2, 4))
+    with pytest.raises(TypeError):
+        SparsityPattern(lv, (1.5, 1))
+    assert SparsityPattern(lv, (np.int32(1), 1)).s == (1, 1)
 
 
 def test_pattern_ratio_examples():

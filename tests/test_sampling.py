@@ -19,6 +19,7 @@ from ripl_lab import (
     ricl_monte_carlo,
 )
 from ripl_lab.recovery import exact_recovery_experiment, gaussian_recovery_experiment
+from ripl_lab.sampling import _as_seed_sequence, _check_counts
 
 
 def test_saturated_level_draws_in_order():
@@ -86,6 +87,17 @@ def test_draw_scheme_errors():
         draw_scheme(lv, (1, 2), r0=1, seed=0)
     with pytest.raises(LevelError, match="m_k must be >= 1"):
         draw_scheme(lv, (2, 0), r0=1, seed=0)
+
+
+def test_counts_and_seeds_are_integers_not_truncated():
+    # int() used to turn m = (2, 1.9) into (2, 1) and seed 7.9 into 7
+    lv = LevelStructure((0, 2, 4))
+    with pytest.raises(TypeError):
+        _check_counts(lv, (2, 1.9))
+    assert _check_counts(lv, (np.int64(2), 1)) == (2, 1)
+    with pytest.raises(TypeError):
+        _as_seed_sequence(7.9)
+    assert _as_seed_sequence(np.uint32(7)).entropy == 7
 
 
 def test_loaded_scheme_with_empty_level_fails():
@@ -319,3 +331,15 @@ def test_allocate_haar_rejects_non_dyadic_pattern():
     pattern = SparsityPattern(LevelStructure((0, 3, 6)), (1, 1))
     with pytest.raises(LevelError, match="dyadic"):
         allocate_haar(pattern, 0.5, 0.5, 1.0)
+
+
+def test_build_measurement_matches_stacked_level_blocks():
+    # the matrix is filled level by level in place; the stacked blocks are the oracle
+    u, lv = fourier_haar_matrix(32)
+    for source in (u, u.real.copy()):
+        scheme = draw_scheme(lv, (2, 2, 3, 5, 9), r0=2, seed=4)
+        oracle = np.vstack([source[np.asarray(dk) - 1] / math.sqrt(pk)
+                            for dk, pk in zip(scheme.draws, scheme.densities())])
+        a = build_measurement(source, scheme).a
+        assert a.dtype == oracle.dtype
+        assert a.view(np.uint64).tolist() == oracle.view(np.uint64).tolist()

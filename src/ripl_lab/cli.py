@@ -32,13 +32,14 @@ import numpy as np
 
 from . import __version__
 from .coherence import CoherenceProfile, fourier_haar_local_coherence, local_coherence
-from .levels import LevelStructure, SparsityPattern, support_blocks
+from .levels import _MAGNITUDE_MODELS, LevelStructure, SparsityPattern, support_blocks
 from .operators import (
     dft_matrix,
     fourier_haar_matrix,
     fourier_haar_table,
     gaussian_matrix,
     haar_matrix,
+    is_isometry,
     load_matrix,
 )
 from .recovery import (
@@ -131,7 +132,7 @@ def resolve_operator(config, seed=None):
         rng = np.random.default_rng(np.random.SeedSequence(int(seed)).spawn(1)[0])
         u = gaussian_matrix(n, n, rng).astype(np.complex128)
     elif name == "file":
-        u = load_matrix(config["path"])
+        u = load_matrix(_config_json(config, "path", str))
     else:
         raise ValueError(f"unknown operator {name!r}")
     if name != "fourier-haar":
@@ -144,7 +145,7 @@ def resolve_levels(config, levels):
     ``levels``, and the keys every operator command records: operator, N and
     both boundary lists.  Both structures must end at the operator's N."""
     sampling, sparsity = (
-        LevelStructure(_config_ints(config[key], key)) if key in config else levels
+        LevelStructure(_config_ints(config, key)) if key in config else levels
         for key in ("sampling_boundaries", "sparsity_boundaries")
     )
     if not sampling.n == sparsity.n == levels.n:
@@ -166,9 +167,21 @@ def _config_int(value, name, low=1):
     return value
 
 
-def _config_ints(values, name):
-    """A config list of integers >= 0 as a tuple; the library checks their range."""
-    return tuple(_config_int(value, name, 0) for value in values)
+def _config_json(config, key, kind, default=None):
+    """``config[key]``, else ``default``, if it is a JSON ``kind``: list, dict
+    (an object) or str.  A key with no default must be present."""
+    if key not in config and default is None:
+        raise ValueError(f"config needs key {key!r}")
+    value = config.get(key, default)
+    if not isinstance(value, kind):
+        json_type = {list: "list", dict: "object", str: "string"}[kind]
+        raise ValueError(f"{key} must be a JSON {json_type}, got {value!r}")
+    return value
+
+
+def _config_ints(config, key):
+    """The config list ``key`` of integers >= 0 as a tuple; the library checks their range."""
+    return tuple(_config_int(value, key, 0) for value in _config_json(config, key, list))
 
 
 def _config_number(value, name):
@@ -208,8 +221,10 @@ def _general_allocation(pattern, delta, eps, c, r0):
     return allocate_uniform(profile, pattern, delta, eps, c, r0=r0)
 
 
-# allocation mode -> allocator(pattern, delta, eps, C, r0).  The lambdas look
-# allocate_haar up in this module at call time, so a wrapper put there sees it.
+# allocation mode -> allocator(pattern, delta, eps, C, r0); recover takes the
+# Fourier--Haar modes only.  The lambdas look allocate_haar up in this module at
+# call time, so a wrapper put there sees it.
+_HAAR_MODES = ("haar-uniform", "haar-nonuniform")
 ALLOCATORS = {
     "haar-uniform": lambda pattern, delta, eps, c, r0: allocate_haar(
         pattern, delta, eps, c, r0=r0, mode="uniform"),
@@ -267,10 +282,11 @@ def cmd_certify(config, args):
     per_support = config.get("per_support_csv", False)
     if not isinstance(per_support, bool):
         raise ValueError(f"per_support_csv must be true or false, got {per_support!r}")
-    u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
-    pattern = SparsityPattern(sparsity, _config_ints(config["s"], "s"))
+    s = _config_ints(config, "s")
     r0 = _config_int(config.get("r0", 0), "r0", 0)
-    m = _config_ints(config["m"], "m")
+    m = _config_ints(config, "m")
+    u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
+    pattern = SparsityPattern(sparsity, s)
 
     scheme_ss, mc_ss = np.random.SeedSequence(seed).spawn(2)
     scheme = draw_scheme(sampling, m, r0=r0, seed=scheme_ss)
@@ -304,7 +320,7 @@ def cmd_certify(config, args):
 
 def _solver_options(config):
     """The recover config's solver block, validated before any other work."""
-    solver_opts = dict(config.get("solver", {}))
+    solver_opts = dict(_config_json(config, "solver", dict, {}))
     unknown = sorted(set(solver_opts) - {"max_iters", "primal_tol"})
     if unknown:
         raise ValueError(f"unknown solver option(s) {unknown}; allowed: max_iters, primal_tol")
@@ -320,14 +336,9 @@ def _solver_options(config):
 def cmd_recover(config, args):
     solver_opts = _solver_options(config)
     seed = _require_seed(config, args.seed, "recover")
-    if config.get("operator") == "gaussian":  # the baseline draws its own matrix per trial
-        sampling, sparsity, resolved = resolve_levels(
-            config, LevelStructure.single_level(_config_int(config.get("N", 0), "N", 0)))
-    else:
-        u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
-    pattern = SparsityPattern(sparsity, _config_ints(config["s"], "s"))
+    s = _config_ints(config, "s")
     r0 = _config_int(config.get("r0", 0), "r0", 0)
-    m = _config_ints(config["m"], "m") if "m" in config else None
+    m = _config_ints(config, "m") if "m" in config else None
     trials = config.get("trials", 10)
     if isinstance(trials, bool) or not isinstance(trials, int):
         raise ValueError(f"trials must be an integer, got {trials!r}")
@@ -341,6 +352,8 @@ def cmd_recover(config, args):
     if not isinstance(weighted, bool):
         raise ValueError(f"weighted must be true or false, got {weighted!r}")
     magnitude_model = config.get("magnitude_model", "unit")
+    if magnitude_model not in _MAGNITUDE_MODELS:
+        raise ValueError(f"unknown magnitude model {magnitude_model!r}")
     success_rtol = _config_number(config.get("success_rtol", 1e-4), "success_rtol")
     if not 0 < success_rtol < math.inf:
         raise ValueError(f"success_rtol must be a finite number > 0, got {success_rtol!r}")
@@ -348,6 +361,12 @@ def cmd_recover(config, args):
         eta=eta, weighted=weighted,
         solver_opts=solver_opts, success_rtol=success_rtol, magnitude_model=magnitude_model,
     )
+    if config.get("operator") == "gaussian":  # the baseline draws its own matrix per trial
+        sampling, sparsity, resolved = resolve_levels(
+            config, LevelStructure.single_level(_config_int(config.get("N", 0), "N", 0)))
+    else:
+        u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
+    pattern = SparsityPattern(sparsity, s)
 
     alloc = k = None
     radius = eta
@@ -362,13 +381,13 @@ def cmd_recover(config, args):
         )
     else:
         if m is None:
-            block = config.get("allocation")
-            if block is None:
+            if "allocation" not in config:
                 raise ValueError("recover config needs either m or an allocation block")
+            block = _config_json(config, "allocation", dict)
             mode = block.get("mode", "haar-uniform")
             constants = _allocation_constants(block)
             # the general mode's coherences are Fourier--Haar's, not the operator's
-            if mode not in ("haar-uniform", "haar-nonuniform"):
+            if mode not in _HAAR_MODES:
                 raise ValueError(f"unsupported allocation mode {mode!r} in recover")
             alloc = ALLOCATORS[mode](pattern, *constants, r0)
             m = alloc.m
@@ -406,10 +425,10 @@ def cmd_recover(config, args):
 
 
 def cmd_allocate(config, args):
-    s = _config_ints(config["s"], "s")
+    s = _config_ints(config, "s")
     delta, eps, c = _allocation_constants(config)
     r0 = _config_int(config.get("r0", 0), "r0", 0)
-    modes = list(config.get("modes", ["haar-uniform", "haar-nonuniform"]))
+    modes = _config_json(config, "modes", list, list(_HAAR_MODES))
     operator = config.get("operator", "fourier-haar")
     if operator != "fourier-haar":
         raise ValueError(f"allocate works on the fourier-haar operator only, got {operator!r}")
@@ -447,16 +466,10 @@ def cmd_allocate(config, args):
 
 
 def cmd_selftest(config, args):
-    from .operators import is_isometry
-
-    failures = 0
     checks = []
 
     def check(label, ok):
-        nonlocal failures
         checks.append((label, bool(ok)))
-        if not ok:
-            failures += 1
         print(f"selftest {'PASS' if ok else 'FAIL'}: {label}")
 
     u, levels = fourier_haar_matrix(16)
@@ -513,7 +526,7 @@ def cmd_selftest(config, args):
     if args.out is not None:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         write_json(Path(args.out) / "selftest.json", {"checks": [[c, ok] for c, ok in checks]})
-    return 1 if failures else 0
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 def build_parser():

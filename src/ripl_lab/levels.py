@@ -49,7 +49,7 @@ def validate_boundaries(boundaries, n=None):
             raise LevelError(f"empty level: repeated boundary {hi}")
         if hi < lo:
             raise LevelError(f"non-monotone boundaries: {lo} followed by {hi}")
-    if n is not None and b[-1] != int(n):
+    if n is not None and b[-1] != operator.index(n):
         raise LevelError(f"last boundary {b[-1]} != ambient dimension {n}")
     return b
 
@@ -102,12 +102,12 @@ class LevelStructure:
 
     @classmethod
     def single_level(cls, n):
-        return cls((0, int(n)))
+        return cls((0, n))
 
     @classmethod
     def dyadic(cls, r):
         """The r dyadic levels of N = 2^r, boundaries (0, 2, 4, ..., 2^r)."""
-        return cls((0,) + tuple(2**k for k in range(1, int(r) + 1)))
+        return cls((0,) + tuple(2**k for k in range(1, operator.index(r) + 1)))
 
 
 @dataclass(frozen=True)
@@ -234,6 +234,9 @@ def count_supports(pattern):
     return math.prod(math.comb(wk, sk) for sk, wk in zip(pattern.s, pattern.levels.widths))
 
 
+_MAGNITUDE_MODELS = ("unit", "gaussian")
+
+
 def random_sparse_vector(pattern, rng, magnitude_model="unit"):
     """Random vector with exactly s_k nonzeros in each level.
 
@@ -241,7 +244,7 @@ def random_sparse_vector(pattern, rng, magnitude_model="unit"):
     "gaussian" (standard complex normal entries).  Deterministic for a
     given ``rng`` state.
     """
-    if magnitude_model not in ("unit", "gaussian"):
+    if magnitude_model not in _MAGNITUDE_MODELS:
         raise ValueError(f"unknown magnitude model {magnitude_model!r}")
     levels = pattern.levels
     x = np.zeros(levels.n, dtype=np.complex128)

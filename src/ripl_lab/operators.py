@@ -14,6 +14,7 @@ dims followed by row-major float64 interleaved re/im).
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 
 import numpy as np
@@ -36,7 +37,7 @@ _MAX_DENSE_N = 4096
 
 
 def _require_pow2(n):
-    n = int(n)
+    n = operator.index(n)
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"N must be a power of two >= 2, got {n}")
     if n > _MAX_DENSE_N:
@@ -139,10 +140,10 @@ def fourier_haar_table(n):
 
 def gaussian_matrix(m, n, rng):
     """m x N matrix of i.i.d. real Gaussian entries with variance 1/m."""
-    m = int(m)
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, int(n)))
+    return rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, operator.index(n)))
 
 
 def is_isometry(mat, tol=1e-10):

@@ -16,6 +16,7 @@ combining the two.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -207,7 +208,7 @@ def ripl_threshold(r, rho):
     sparsity ratio gives 0 (with a warning): no constant can satisfy a
     strict inequality against it.
     """
-    r = int(r)
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"level count must be >= 1, got {r}")
     rho = float(rho)

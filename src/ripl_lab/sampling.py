@@ -99,7 +99,7 @@ class SamplingScheme:
             m=tuple(d["m"]),
             draws=tuple(tuple(x) for x in d["draws"]),
             saturated=tuple(bool(v) for v in d["saturated"]),
-            r0=int(d.get("r0", 0)),
+            r0=operator.index(d.get("r0", 0)),
             seed=d.get("seed"),
         )
 
@@ -187,7 +187,6 @@ class MeasurementOperator:
     """Row-subsampled isometry with 1/sqrt(p_k) level scalings and its K."""
 
     a: np.ndarray
-    scheme: SamplingScheme
     k_factor: float
 
 
@@ -207,7 +206,7 @@ def build_measurement(u, scheme):
         np.divide(u[np.asarray(dk, dtype=np.intp) - 1], math.sqrt(pk),
                   out=a[start:start + len(dk)])
         start += len(dk)
-    return MeasurementOperator(a=a, scheme=scheme, k_factor=k_factor(scheme.levels, scheme.m))
+    return MeasurementOperator(a=a, k_factor=k_factor(scheme.levels, scheme.m))
 
 
 @dataclass(frozen=True)
@@ -335,7 +334,7 @@ def haar_interference_weights(s, mode="uniform", r0=0):
     decay, from_r0, _ = _MODES.get(f"haar-{mode}", (None,) * 3)
     if decay is None:
         raise ValueError(f"unknown mode {mode!r}")
-    s = tuple(int(v) for v in s)
+    s = tuple(operator.index(v) for v in s)
     r = len(s)
     weights = []
     for k in range(r):

@@ -636,3 +636,55 @@ def test_allocation_constants_must_be_json_numbers(tmp_path, capsys, base, block
     assert main([base, "--config", cfg, "--out", str(out)]) == 1
     assert f"error: {key} must be a number, got {value!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _without(base, key):
+    config = dict(_BASE_CONFIGS[base])
+    del config[key]
+    return config
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("certify", _without("certify", "s"), "config needs key 's'"),
+    ("certify", _without("certify", "m"), "config needs key 'm'"),
+    ("recover", _without("recover", "s"), "config needs key 's'"),
+    ("allocate", _without("allocate", "s"), "config needs key 's'"),
+    ("coherence", {"operator": "file"}, "config needs key 'path'"),
+    ("coherence", {"operator": "file", "path": ["u.bin"]},
+     "path must be a JSON string, got ['u.bin']"),
+    ("allocate", dict(_BASE_CONFIGS["allocate"], modes="general"),
+     "modes must be a JSON list, got 'general'"),
+    ("recover", dict(_BASE_CONFIGS["recover"], s=5), "s must be a JSON list, got 5"),
+    ("certify", dict(_BASE_CONFIGS["certify"], s="1111"), "s must be a JSON list, got '1111'"),
+    ("certify", dict(_BASE_CONFIGS["certify"], m=8), "m must be a JSON list, got 8"),
+    ("coherence", dict(_BASE_CONFIGS["coherence"], sampling_boundaries="0,16"),
+     "sampling_boundaries must be a JSON list, got '0,16'"),
+    ("coherence", dict(_BASE_CONFIGS["coherence"], sparsity_boundaries=16),
+     "sparsity_boundaries must be a JSON list, got 16"),
+    ("recover", dict(_BASE_CONFIGS["recover"], solver=[1]), "solver must be a JSON object, got [1]"),
+    ("recover", dict(_without("recover", "m"), allocation=[1]),
+     "allocation must be a JSON object, got [1]"),
+], ids=["certify-no-s", "certify-no-m", "recover-no-s", "allocate-no-s", "file-no-path",
+        "path-list", "modes-str", "s-int", "s-str", "m-int", "sampling-str", "sparsity-int", "solver-list",
+        "allocation-list"])
+def test_malformed_config_names_the_key(tmp_path, capsys, command, config, message):
+    # these used to fail with Python's own text: 's', 'int' object is not
+    # iterable, unknown allocation mode 'g', 'list' object has no attribute 'get'
+    cfg = _write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recover_unknown_magnitude_model_fails_before_the_operator(tmp_path, capsys, monkeypatch):
+    # recover used to build U and draw the first trial's scheme before failing
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr("ripl_lab.cli.resolve_operator", no_operator)
+    cfg = _write_config(tmp_path, "c.json", dict(_BASE_CONFIGS["recover"], magnitude_model="gauss"))
+    out = tmp_path / "o"
+    assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
+    assert "error: unknown magnitude model 'gauss'" in capsys.readouterr().err
+    assert not out.exists()

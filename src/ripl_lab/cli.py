@@ -58,6 +58,7 @@ from .sampling import (
     draw_scheme,
     haar_interference_weights,
     k_factor,
+    measurement_norm,
 )
 
 _FORMATS = ("csv", "json")
@@ -106,7 +107,10 @@ def write_table(path, header, rows, fmt):
 def load_config(path):
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        raise ValueError(f"the config must be a JSON object, got {config!r}")
+    return config
 
 
 def resolve_operator(config, seed=None):
@@ -339,6 +343,8 @@ def cmd_recover(config, args):
     s = _config_ints(config, "s")
     r0 = _config_int(config.get("r0", 0), "r0", 0)
     m = _config_ints(config, "m") if "m" in config else None
+    if m is not None and "allocation" in config:
+        raise ValueError("recover config takes either m or an allocation block, not both")
     trials = config.get("trials", 10)
     if isinstance(trials, bool) or not isinstance(trials, int):
         raise ValueError(f"trials must be an integer, got {trials!r}")
@@ -366,6 +372,10 @@ def cmd_recover(config, args):
             config, LevelStructure.single_level(_config_int(config.get("N", 0), "N", 0)))
     else:
         u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
+        # the solver takes ||A|| in closed form from each scheme, exact only for an isometry
+        if resolved["operator"] == "file" and not (u.shape[0] == u.shape[1] and is_isometry(u)):
+            raise ValueError(f"recover needs the file operator to be a square isometry; "
+                             f"{config['path']} is not")
     pattern = SparsityPattern(sparsity, s)
 
     alloc = k = None
@@ -512,12 +522,19 @@ def cmd_selftest(config, args):
     y = a[:, :, :3] @ np.array([1.0, 1.0, -0.5])  # x has 3 nonzeros
     y[1] += 0.01
     alone = [solve_qcbp(QcbpProblem(a=a_b, y=y_b, eta=0.02)) for a_b, y_b in zip(a, y)]
-    stacked = _solve_stack(a.copy(), y.copy(), 0.02, np.ones(10))
+    stacked = _solve_stack(a.copy(), y.copy(), 0.02, np.ones(10),
+                           [np.linalg.norm(a_b, 2) for a_b in a])
     check("a stack of two qcbp solves matches each solve alone bit for bit", all(
         np.array_equal(one.xhat.view(np.uint64), two.xhat.view(np.uint64))
         and (one.objective, one.residual, one.iterations, one.converged, one.gap)
         == (two.objective, two.residual, two.iterations, two.converged, two.gap)
         for one, two in zip(alone, stacked)))
+
+    scheme = draw_scheme(levels, (2, 2, 4, 6), r0=2, seed=4)
+    check("closed-form ||A|| of an fh16 scheme with a repeated draw matches the SVD",
+          len(set(scheme.draws[3])) < 6 and math.isclose(
+              measurement_norm(scheme), np.linalg.norm(build_measurement(u, scheme).a, 2),
+              rel_tol=1e-13))
 
     s1 = draw_scheme(levels, (2, 2, 2, 4), r0=2, seed=123)
     s2 = draw_scheme(levels, (2, 2, 2, 4), r0=2, seed=123)

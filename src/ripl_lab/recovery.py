@@ -6,7 +6,9 @@ step is a coordinate-wise complex soft-threshold (shrinking the modulus,
 preserving the phase, by tau w_j), the dual step is the
 projection onto the eta-ball around y (which degenerates to the affine
 projection onto {u : u = y} when eta = 0, so one code path covers both).
-Step sizes come from the exact spectral norm ||A|| (LAPACK SVD) and a
+Step sizes come from the exact spectral norm ||A||, which the caller
+supplies (a LAPACK SVD for a bare matrix, the closed form of
+:func:`~ripl_lab.sampling.measurement_norm` for a drawn scheme), and a
 primal weight omega: tau = 1/(1.02 omega ||A||), sigma = omega/(1.02 ||A||),
 so the step condition sigma tau ||A||^2 < 1 holds for every omega.  The
 weight starts at 1 and every 100 iterations moves, in log space, a
@@ -37,7 +39,13 @@ import numpy as np
 
 from .levels import best_approx_in_levels, random_sparse_vector
 from .operators import gaussian_matrix
-from .sampling import _as_seed_sequence, _trial_count, build_measurement, draw_scheme
+from .sampling import (
+    _as_seed_sequence,
+    _trial_count,
+    build_measurement,
+    draw_scheme,
+    measurement_norm,
+)
 
 __all__ = [
     "QcbpProblem",
@@ -137,10 +145,11 @@ def _compact_rows(keep, *arrays):
                 arr[dst] = arr[src]
 
 
-def _solve_stack(a, y, eta, w, max_iters=50000, primal_tol=1e-7):
+def _solve_stack(a, y, eta, w, norms, max_iters=50000, primal_tol=1e-7):
     """:func:`solve_qcbp` on a stack of problems that share ``eta`` and ``w``.
 
-    ``a`` is (B, m, n) and ``y`` is (B, m) complex.  Returns one
+    ``a`` is (B, m, n), ``y`` is (B, m) complex and ``norms`` holds the
+    B spectral norms ||A_b||, which set the steps.  Returns one
     SolveResult per trial, each bit for bit that of solving the trial on
     its own.  All trials take each step in one set of batched calls, and
     each leaves the stack at its own convergence check; the rows of ``a``
@@ -148,7 +157,7 @@ def _solve_stack(a, y, eta, w, max_iters=50000, primal_tol=1e-7):
     """
     count, m, n = a.shape
     results = [None] * count
-    norms = np.array([np.linalg.norm(row, 2) for row in a])
+    norms = np.asarray(norms, dtype=float)
     for b in np.flatnonzero(norms == 0.0):
         # zero operator: any z is feasible iff ||y|| <= eta; minimum is 0
         resid = float(np.linalg.norm(y[b]))
@@ -266,7 +275,7 @@ def solve_qcbp(problem, max_iters=50000, primal_tol=1e-7):
     flagged ``converged=False``.  Deterministic for fixed inputs.
     """
     return _solve_stack(problem.a[None], problem.y[None], float(problem.eta), problem.w,
-                        max_iters, primal_tol)[0]
+                        [np.linalg.norm(problem.a, 2)], max_iters, primal_tol)[0]
 
 
 def recovery_metrics(x_true, xhat, pattern, eta=0.0):
@@ -314,7 +323,8 @@ class ExperimentResult:
 
 def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radius,
                          weighted, solver_opts, success_rtol, magnitude_model):
-    """Run the trials; ``make_matrix(seed)`` draws A, ``m_record`` is each trial's m.
+    """Run the trials; ``make_matrix(seed)`` draws A and gives (A, ||A||),
+    ``m_record`` is each trial's m.
 
     Trials are drawn into a stack of at most ``_STACK_BYTES`` of operator
     (at least two trials) and solved together by :func:`_solve_stack`.
@@ -329,10 +339,10 @@ def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radi
 
     records = []
     a_stack = y_stack = None
-    signals = []  # the true vector of each trial in the current stack
+    signals, norms = [], []  # the true vector and ||A|| of each trial in the current stack
     for index, child in enumerate(_as_seed_sequence(seed).spawn(trials)):
         matrix_ss, x_ss, noise_ss = child.spawn(3)
-        a = make_matrix(matrix_ss)
+        a, norm = make_matrix(matrix_ss)
         x = random_sparse_vector(pattern, np.random.default_rng(x_ss), magnitude_model)
         y = a @ x
         if eta > 0:
@@ -346,11 +356,12 @@ def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radi
         a_stack[len(signals)] = a
         y_stack[len(signals)] = y
         signals.append(x)
+        norms.append(norm)
         del a  # the stack holds the only copy
         if len(signals) < len(a_stack) and index < trials - 1:
             continue
         results = _solve_stack(a_stack[:len(signals)], y_stack[:len(signals)], ball_radius, w,
-                               **(solver_opts or {}))
+                               norms=norms, **(solver_opts or {}))
         for x, result in zip(signals, results):
             metrics = recovery_metrics(x, result.xhat, pattern, eta=eta)
             xnorm = float(np.linalg.norm(x))
@@ -368,7 +379,7 @@ def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radi
                 "bound_ratio_l1": metrics["bound_ratio_l1"],
                 "bound_ratio_l2": metrics["bound_ratio_l2"],
             })
-        signals = []
+        signals, norms = [], []
     rate = sum(1 for rec in records if rec["success"]) / trials
     return ExperimentResult(success_rate=rate, records=tuple(records))
 
@@ -387,10 +398,21 @@ def exact_recovery_experiment(u, levels, m, r0, pattern, trials, seed, eta=0.0,
     every weight is 1.  Per-trial streams derive from the master seed
     so results are independent of execution order; solver
     non-convergence is recorded per trial, never raised.
+
+    ``u`` must be a square isometry (unitary): the solver's steps take
+    ||A|| in closed form from each drawn scheme
+    (:func:`~ripl_lab.sampling.measurement_norm`), which holds only when
+    the rows of u are orthonormal.  This is not checked here; the CLI
+    checks a matrix loaded from a file once per run.
     """
     m = tuple(operator.index(v) for v in m)
+
+    def make_matrix(ss):
+        scheme = draw_scheme(levels, m, r0=r0, seed=ss)
+        return build_measurement(u, scheme).a, measurement_norm(scheme)
+
     return _run_recovery_trials(
-        lambda ss: build_measurement(u, draw_scheme(levels, m, r0=r0, seed=ss)).a, list(m),
+        make_matrix, list(m),
         pattern, trials, seed, eta, radius, weighted, solver_opts,
         success_rtol, magnitude_model,
     )
@@ -407,8 +429,13 @@ def gaussian_recovery_experiment(n, m_total, pattern, trials, seed, eta=0.0,
     comparable trial by trial.
     """
     m_total = operator.index(m_total)
+
+    def make_matrix(ss):
+        a = gaussian_matrix(m_total, n, np.random.default_rng(ss))
+        return a, np.linalg.norm(a, 2)
+
     return _run_recovery_trials(
-        lambda ss: gaussian_matrix(m_total, n, np.random.default_rng(ss)), [m_total],
+        make_matrix, [m_total],
         pattern, trials, seed, eta, radius, weighted, solver_opts,
         success_rtol, magnitude_model,
     )

@@ -31,6 +31,7 @@ import math
 import numbers
 import operator
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,18 @@ def draw_scheme(levels, m, r0=0, seed=0):
 def k_factor(levels, m):
     """K = max_k (width_k / m_k), the worst inverse sampling density."""
     return max(w / mk for w, mk in zip(levels.widths, m))
+
+
+def measurement_norm(scheme):
+    """||A|| of ``build_measurement(u, scheme)`` for every square isometry u.
+
+    The rows of u are orthonormal, so A A^H is block diagonal with one
+    (c / p_k) J_c block per index drawn c times in level k:
+    ||A|| = sqrt(max_k c_k / p_k), c_k the largest multiplicity in level k
+    (1 on saturated levels, where p_k = 1).
+    """
+    return math.sqrt(max(max(Counter(dk).values()) / pk
+                         for dk, pk in zip(scheme.draws, scheme.densities())))
 
 
 @dataclass(frozen=True)

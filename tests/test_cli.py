@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ripl_lab import LevelStructure, SparsityPattern, support_blocks
+from ripl_lab import LevelStructure, SparsityPattern, dft_matrix, save_matrix, support_blocks
 from ripl_lab.cli import main
 
 
@@ -687,4 +687,61 @@ def test_recover_unknown_magnitude_model_fails_before_the_operator(tmp_path, cap
     out = tmp_path / "o"
     assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
     assert "error: unknown magnitude model 'gauss'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recover_file_operator_must_be_an_isometry(tmp_path, capsys, monkeypatch):
+    # the solver takes ||A|| in closed form from the scheme, which needs orthonormal rows
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("ripl_lab.cli.exact_recovery_experiment", no_trials)
+    save_matrix(tmp_path / "scaled.bin", 2 * dft_matrix(16))  # ||A|| twice the closed form
+    save_matrix(tmp_path / "wide.bin", dft_matrix(16)[:8])
+    for name in ("scaled.bin", "wide.bin"):
+        path = str(tmp_path / name)
+        cfg = _write_config(tmp_path, "c.json", {"operator": "file", "path": path, "m": [8],
+                                                 "s": [2], "trials": 2, "seed": 1})
+        out = tmp_path / "o"
+        assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
+        assert (f"error: recover needs the file operator to be a square isometry; {path} is not"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+def test_recover_file_operator_replays_the_named_isometry(tmp_path):
+    save_matrix(tmp_path / "u.bin", dft_matrix(16))
+    trials = {}
+    for name, extra in (("dft", {}), ("file", {"path": str(tmp_path / "u.bin")})):
+        cfg = _write_config(tmp_path, f"{name}.json", {"operator": name, "N": 16, "m": [8],
+                                                       "s": [2], "trials": 3, "seed": 1, **extra})
+        out = tmp_path / name
+        assert main(["recover", "--config", cfg, "--out", str(out)]) == 0
+        trials[name] = (out / "trials.csv").read_text()
+    assert trials["file"] == trials["dft"]
+
+
+def test_recover_m_with_an_allocation_block_fails(tmp_path, capsys, monkeypatch):
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr("ripl_lab.cli.resolve_operator", no_operator)
+    config = dict(_BASE_CONFIGS["recover"], allocation={"mode": "haar-uniform", "C": 0.01})
+    cfg = _write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
+    assert ("error: recover config takes either m or an allocation block, not both"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["coherence", "certify", "recover", "allocate"])
+@pytest.mark.parametrize("config", [[1], "fourier-haar", 16, None])
+def test_config_must_be_a_json_object(tmp_path, capsys, command, config):
+    # a list used to fail with 'list' object has no attribute 'get' (coherence)
+    # or config needs key 's' (allocate)
+    cfg = _write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: the config must be a JSON object, got {config!r}" in capsys.readouterr().err
     assert not out.exists()

@@ -348,7 +348,8 @@ def _mixed_stack(real, eta):
 def test_stack_matches_solving_each_trial_alone(real, eta, max_iters):
     a, y, w = _mixed_stack(real, eta)
     alone = [_solve_alone(a[b], y[b], eta, w, max_iters) for b in range(len(a))]
-    stacked = recovery._solve_stack(a.copy(), y.copy(), eta, w, max_iters=max_iters)
+    norms = [np.linalg.norm(a_b, 2) for a_b in a]
+    stacked = recovery._solve_stack(a.copy(), y.copy(), eta, w, norms, max_iters=max_iters)
     for one, got in zip(alone, stacked):
         assert got.xhat.view(np.uint64).tolist() == one.xhat.view(np.uint64).tolist()
         assert ((got.iterations, got.converged, got.gap, got.residual, got.objective)

@@ -16,10 +16,11 @@ from ripl_lab import (
     draw_scheme,
     fourier_haar_matrix,
     haar_interference_weights,
+    haar_matrix,
     ricl_monte_carlo,
 )
 from ripl_lab.recovery import exact_recovery_experiment, gaussian_recovery_experiment
-from ripl_lab.sampling import _as_seed_sequence, _check_counts
+from ripl_lab.sampling import _as_seed_sequence, _check_counts, measurement_norm
 
 
 def test_saturated_level_draws_in_order():
@@ -343,3 +344,35 @@ def test_build_measurement_matches_stacked_level_blocks():
         a = build_measurement(source, scheme).a
         assert a.dtype == oracle.dtype
         assert a.view(np.uint64).tolist() == oracle.view(np.uint64).tolist()
+
+
+def _norm_cases():
+    """(U, levels, m, r0) for Fourier--Haar, DFT and Haar, multi- and single-level."""
+    fh16, bands16 = fourier_haar_matrix(16)
+    fh64, bands64 = fourier_haar_matrix(64)
+    dft32 = dft_matrix(32)
+    return [
+        (fh16, bands16, bands16.widths, bands16.r),
+        (fh16, bands16, (2, 2, 4, 6), 2),
+        (fh64, bands64, (2, 2, 4, 8, 11, 11), 4),
+        (fh64, bands64, (1, 2, 3, 5, 9, 20), 0),
+        (fh64, LevelStructure.single_level(64), (24,), 0),
+        (dft32, LevelStructure.single_level(32), (16,), 0),
+        (dft32, LevelStructure((0, 8, 16, 32)), (8, 5, 9), 1),
+        (haar_matrix(16), LevelStructure((0, 4, 16)), (3, 7), 0),
+    ]
+
+
+def test_measurement_norm_matches_the_svd_on_drawn_schemes():
+    multiplicity_decides = 0
+    for u, lv, m, r0 in _norm_cases():
+        for seed in range(4):
+            scheme = draw_scheme(lv, m, r0=r0, seed=seed)
+            svd = np.linalg.norm(build_measurement(u, scheme).a, 2)
+            assert measurement_norm(scheme) == pytest.approx(svd, rel=1e-13, abs=0)
+            # the norm with every multiplicity taken as 1
+            plain = math.sqrt(max(1.0 / pk for pk in scheme.densities()))
+            if any(len(set(dk)) < len(dk) for dk in scheme.draws) and abs(plain - svd) > 1e-3:
+                multiplicity_decides += 1
+    # repeated draws that set ||A||: a form that ignored them would fail above
+    assert multiplicity_decides >= 10

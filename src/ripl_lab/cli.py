@@ -95,11 +95,16 @@ def _cell(value):
 
 
 def write_table(path, header, rows, fmt):
+    """Write ``rows`` under ``header`` as CSV or as a JSON list of records.
+
+    The CSV is written row by row as ``rows`` yields them, so a generator
+    is never held whole; the JSON list is built in memory first.
+    """
     path = Path(path)
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as f:
+            f.write(",".join(header) + "\n")
+            f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
     else:
         write_json(path, [dict(zip(header, row)) for row in rows])
 
@@ -306,8 +311,9 @@ def cmd_certify(config, args):
             for block in support_blocks(report.doubled_pattern)
             for row in (block + 1).tolist()
         )
-        spectra = zip(supports, report.ricl.lam_min.tolist(), report.ricl.lam_max.tolist())
-        rows = [(sup, lmin, lmax, max(lmax - 1.0, 1.0 - lmin)) for sup, lmin, lmax in spectra]
+        # a generator over the spectra, so a CSV streams without a row list
+        spectra = zip(supports, map(float, report.ricl.lam_min), map(float, report.ricl.lam_max))
+        rows = ((sup, lmin, lmax, max(lmax - 1.0, 1.0 - lmin)) for sup, lmin, lmax in spectra)
         tables.append(("per_support", ("support", "lambda_min", "lambda_max", "delta"), rows))
     resolved.update(
         m=list(m), r0=r0, s=list(pattern.s), seed=seed,

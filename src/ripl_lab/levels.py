@@ -202,16 +202,20 @@ def best_approx_in_levels(x, pattern):
     return z, sigma
 
 
-# supports per block: bounds the Gram stack a caller gathers from one block
-_CHUNK = 4096
+# bytes of one batched stack: the complex Gram stack gathered from one block
+# of supports here, and the operators of one solver stack in recovery (which
+# still holds at least two trials)
+_STACK_BYTES = 1 << 19
 
 
 def support_blocks(pattern):
     """Yield every support with exactly s_k indices per level, in blocks.
 
-    Each block is an ``np.intp`` array of shape (rows, s_1 + ... + s_r),
-    rows <= 4,096, whose rows are 0-based column indices in ascending
-    order.  The blocks list the supports in lexicographic order: flat
+    Each block is an ``np.intp`` array of shape (rows, k), k = s_1 + ... +
+    s_r, whose rows are 0-based column indices in ascending order.  A
+    block's complex Gram stack, 16 k^2 bytes per support, stays within
+    ``_STACK_BYTES`` (512 KiB), except that every block holds at least one
+    support.  The blocks list the supports in lexicographic order: flat
     support ids are decoded in mixed radix over the per-level subset
     counts, last level fastest.  A zero budget contributes one empty
     pick, so the all-zero pattern yields one (1, 0) block.
@@ -224,8 +228,10 @@ def support_blocks(pattern):
     ]
     radices = tuple(len(p) for p in picks)
     total = math.prod(radices)
-    for start in range(0, total, _CHUNK):
-        ids = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), radices)
+    k = pattern.total
+    rows = max(1, _STACK_BYTES // (16 * k * k)) if k else 1
+    for start in range(0, total, rows):
+        ids = np.unravel_index(np.arange(start, min(start + rows, total)), radices)
         yield np.concatenate([p[i] for p, i in zip(picks, ids)], axis=1)
 
 

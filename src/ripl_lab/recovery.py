@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levels import best_approx_in_levels, random_sparse_vector
+from .levels import _STACK_BYTES, best_approx_in_levels, random_sparse_vector
 from .operators import gaussian_matrix
 from .sampling import (
     _as_seed_sequence,
@@ -110,7 +110,6 @@ _WEIGHT_EVERY = 100  # iterations between primal-weight updates
 _WEIGHT_SMOOTHING = 0.2  # theta: log-space step toward ||dq|| / ||dz||
 _STABILITY_WINDOW = 100  # iterations over which the objective must be stable
 _FEASIBILITY_TOL = 1e-9
-_STACK_BYTES = 1 << 19  # operator bytes in one solver stack, which holds >= 2 trials
 
 
 def _soft_threshold(z, thresh):

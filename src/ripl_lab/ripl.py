@@ -95,6 +95,9 @@ def ricl_exact(a, pattern, max_supports=10**6):
     of each Gram submatrix with LAPACK (``np.linalg.eigvalsh``, one call
     per block of :func:`~ripl_lab.levels.support_blocks`, gathered with
     one fancy index), and maximizes max(lambda_max - 1, 1 - lambda_min).
+    A block's gathered Gram stack stays within 512 KiB or holds a single
+    support, so the memory held beyond the n x n Gram and the two
+    per-support result arrays does not grow with the number of supports.
     Ties go to the support that comes first in the lexicographic
     enumeration; ``witness_support`` holds its 1-based indices.  The
     result checks itself: one more ``eigvalsh`` of the witness's Gram
@@ -110,10 +113,10 @@ def ricl_exact(a, pattern, max_supports=10**6):
         raise EnumerationBudgetError(
             f"{n_supports} supports exceed the budget {max_supports}"
         )
-    gram = mat.conj().T @ mat
     if pattern.total == 0:
         return RiclReport(0.0, "exact-enumeration", pattern, (), None, 1,
                           np.empty(0), np.empty(0))
+    gram = mat.conj().T @ mat
 
     lam_min = np.empty(n_supports)
     lam_max = np.empty(n_supports)

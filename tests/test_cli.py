@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from ripl_lab import LevelStructure, SparsityPattern, dft_matrix, save_matrix, support_blocks
-from ripl_lab.cli import main
+from ripl_lab.cli import main, write_table
 
 
 def _write_config(tmp_path, name, payload):
@@ -85,6 +86,22 @@ def test_certify_command_and_replay(tmp_path, capsys):
     witness = ";".join(map(str, ricl["witness_support"]))
     assert float(rows[[row[0] for row in rows].index(witness)][3]) == pytest.approx(
         report["report"]["delta"], abs=1e-12)
+
+
+def test_csv_table_streams_its_rows(tmp_path):
+    # 200,000 rows of about 25 bytes: a table joined in memory would pass 5 MB
+    rows = ((i, i / 3, i % 2 == 0) for i in range(200_000))
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_table(path, ("i", "x", "even"), rows, "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    lines = path.read_text().splitlines()
+    assert len(lines) == 200_001
+    assert lines[:3] == ["i,x,even", "0,0.0,1", f"1,{1 / 3!r},0"]
 
 
 def test_certify_requires_seed(tmp_path, capsys):

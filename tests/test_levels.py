@@ -1,10 +1,11 @@
 import math
 import warnings
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from ripl_lab import levels
 from ripl_lab import (
     LevelError,
     LevelStructure,
@@ -166,6 +167,26 @@ def test_enumerate_count_matches_binomials():
     expected = math.comb(3, 2) * math.comb(4, 1) * math.comb(5, 3)
     assert count_supports(p) == expected
     assert sum(len(block) for block in support_blocks(p)) == expected
+
+
+@pytest.mark.parametrize("bounds, s", [
+    ((0, 8, 16, 24), (2, 2, 2)),  # 21,952 supports of size 6, many blocks
+    ((0, 10, 20), (5, 5)),  # 63,504 supports of size 10, as certify-fh32 enumerates
+    ((0, 3, 7, 12), (2, 1, 3)),  # 120 supports, one partial block
+    ((0, 190, 200), (190, 1)),  # 16 * 191^2 bytes exceeds the cap: one support a block
+    ((0, 2, 4), (0, 0)),  # k = 0: one (1, 0) block
+])
+def test_support_blocks_bound_order_and_count(bounds, s):
+    p = SparsityPattern(LevelStructure(bounds), s)
+    k = sum(s)
+    blocks = list(support_blocks(p))
+    for block in blocks:
+        assert block.dtype == np.intp and block.shape[1] == k
+        assert 16 * k * k * len(block) <= levels._STACK_BYTES or len(block) == 1
+    per_level = [combinations(range(lo, hi), sk) for lo, hi, sk in zip(bounds, bounds[1:], s)]
+    oracle = [list(sum(pick, ())) for pick in product(*per_level)]
+    assert np.concatenate(blocks).tolist() == oracle
+    assert count_supports(p) == len(oracle) == sum(len(block) for block in blocks)
 
 
 def test_random_sparse_vector_contract():

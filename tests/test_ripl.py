@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -93,13 +94,17 @@ def test_ricl_exact_count_enumeration_matches_all_counts():
         assert rep.delta == pytest.approx(worst, abs=1e-10)
 
 
-def test_ricl_exact_across_blocks_matches_product_oracle():
-    # 28^3 = 21,952 supports span six 4,096-row blocks; the witness sits in the fourth
+def _three_level_case():
+    # 28^3 = 21,952 supports of size 6 over three levels of width 8
     rng = np.random.default_rng(0)
     a = (rng.standard_normal((16, 24)) + 1j * rng.standard_normal((16, 24))) / math.sqrt(32)
-    lv = LevelStructure((0, 8, 16, 24))
-    rep = ricl_exact(a, SparsityPattern(lv, (2, 2, 2)))
-    b = lv.boundaries
+    return a, SparsityPattern(LevelStructure((0, 8, 16, 24)), (2, 2, 2))
+
+
+def test_ricl_exact_across_blocks_matches_product_oracle():
+    a, pattern = _three_level_case()
+    rep = ricl_exact(a, pattern)
+    b = pattern.levels.boundaries
     per_level = [combinations(range(lo, hi), 2) for lo, hi in zip(b, b[1:])]
     idx = np.array([sum(pick, ()) for pick in product(*per_level)], dtype=np.intp)
     gram = a.conj().T @ a
@@ -107,11 +112,25 @@ def test_ricl_exact_across_blocks_matches_product_oracle():
     deltas = np.maximum(vals[:, -1] - 1.0, 1.0 - vals[:, 0])
     j = int(np.argmax(deltas))
     assert rep.supports_examined == len(idx) == 21952
-    assert j >= 4096
+    # the witness lies past the first block, so the maximum is carried across blocks
+    assert j >= len(next(support_blocks(pattern)))
     assert rep.delta == pytest.approx(deltas[j], abs=1e-12)
     assert rep.witness_support == tuple(int(i) + 1 for i in idx[j])
     assert np.allclose(rep.lam_min, vals[:, 0], rtol=0, atol=1e-12)
     assert np.allclose(rep.lam_max, vals[:, -1], rtol=0, atol=1e-12)
+
+
+def test_ricl_exact_peak_memory_stays_within_the_block_cap():
+    # one block's Gram stack is at most 512 KiB (4,096 rows would gather
+    # 2.4 MB); with the two 176 KB per-support arrays the peak stays near 1 MB
+    a, pattern = _three_level_case()
+    tracemalloc.start()
+    try:
+        ricl_exact(a, pattern)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_ricl_exact_known_spectrum():
@@ -183,6 +202,16 @@ def test_ricl_exact_witness_recheck_catches_batched_eigen_error(monkeypatch):
 def test_ricl_exact_zero_pattern():
     rep = ricl_exact(np.eye(4, dtype=complex), SparsityPattern(LevelStructure((0, 4)), (0,)))
     assert rep.delta == 0.0
+    # nothing reads the Gram of an empty pattern, so it is never formed (4 MB at n = 512)
+    tracemalloc.start()
+    try:
+        rep = ricl_exact(np.ones((4, 512), dtype=complex),
+                         SparsityPattern(LevelStructure((0, 512)), (0,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.delta == 0.0 and rep.supports_examined == 1
+    assert peak < 1e6
 
 
 def test_ricl_monte_carlo_saturated_is_zero():

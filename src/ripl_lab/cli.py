@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -62,6 +63,7 @@ from .sampling import (
 )
 
 _FORMATS = ("csv", "json")
+_JSON_RUN = 256  # records a JSON table dumps at once: one call's overhead, bounded memory
 
 
 def config_hash(config):
@@ -80,10 +82,13 @@ def _finite(obj):
     return obj
 
 
+def _json_text(obj):
+    return json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False)
+
+
 def write_json(path, obj):
     """Strict JSON: a non-finite float is written as a string, never as NaN or Infinity."""
-    text = json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(_json_text(obj) + "\n")
 
 
 def _cell(value):
@@ -97,16 +102,22 @@ def _cell(value):
 def write_table(path, header, rows, fmt):
     """Write ``rows`` under ``header`` as CSV or as a JSON list of records.
 
-    The CSV is written row by row as ``rows`` yields them, so a generator
-    is never held whole; the JSON list is built in memory first.
+    Either is written as ``rows`` yields them, so a generator is never
+    held whole: the CSV row by row, the JSON in runs of ``_JSON_RUN``
+    records, byte for byte ``write_json`` of the whole list.
     """
-    path = Path(path)
-    if fmt == "csv":
-        with path.open("w") as f:
+    rows = iter(rows)
+    with Path(path).open("w") as f:
+        if fmt == "csv":
             f.write(",".join(header) + "\n")
             f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
-    else:
-        write_json(path, [dict(zip(header, row)) for row in rows])
+            return
+        opening = "[\n"
+        while run := [dict(zip(header, row)) for row in itertools.islice(rows, _JSON_RUN)]:
+            # a run dumps as "[\n" + its records + "\n]"; runs join with ",\n"
+            f.write(opening + _json_text(run)[2:-2])
+            opening = ",\n"
+        f.write("[]\n" if opening == "[\n" else "\n]\n")
 
 
 def load_config(path):
@@ -373,29 +384,31 @@ def cmd_recover(config, args):
         eta=eta, weighted=weighted,
         solver_opts=solver_opts, success_rtol=success_rtol, magnitude_model=magnitude_model,
     )
-    if config.get("operator") == "gaussian":  # the baseline draws its own matrix per trial
-        sampling, sparsity, resolved = resolve_levels(
-            config, LevelStructure.single_level(_config_int(config.get("N", 0), "N", 0)))
-    else:
-        u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
-        # the solver takes ||A|| in closed form from each scheme, exact only for an isometry
-        if resolved["operator"] == "file" and not (u.shape[0] == u.shape[1] and is_isometry(u)):
-            raise ValueError(f"recover needs the file operator to be a square isometry; "
-                             f"{config['path']} is not")
-    pattern = SparsityPattern(sparsity, s)
-
     alloc = k = None
     radius = eta
-    if resolved["operator"] == "gaussian":
+    if config.get("operator") == "gaussian":
         # baseline: a fresh m_total x N Gaussian matrix per trial, no scheme
+        _, sparsity, resolved = resolve_levels(
+            config, LevelStructure.single_level(_config_int(config.get("N", 0), "N", 0)))
+        pattern = SparsityPattern(sparsity, s)
         if noise_scaling == "sqrtK":
             raise ValueError("the sqrtK noise convention needs a multilevel scheme")
+        if "allocation" in config:
+            raise ValueError("gaussian recover config takes m or m_total, not an allocation block")
+        if m is not None and "m_total" in config:
+            raise ValueError("gaussian recover config takes either m or m_total, not both")
         m_total = _config_int(config.get("m_total", sum(m or ())), "m_total")
         m = (m_total,)
         result = gaussian_recovery_experiment(
             sparsity.n, m_total, pattern, trials, seed, radius=radius, **shared
         )
     else:
+        u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
+        # the solver takes ||A|| in closed form from each scheme, exact only for an isometry
+        if resolved["operator"] == "file" and not (u.shape[0] == u.shape[1] and is_isometry(u)):
+            raise ValueError(f"recover needs the file operator to be a square isometry; "
+                             f"{config['path']} is not")
+        pattern = SparsityPattern(sparsity, s)
         if m is None:
             if "allocation" not in config:
                 raise ValueError("recover config needs either m or an allocation block")

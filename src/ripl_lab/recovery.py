@@ -22,9 +22,11 @@ from above.
 
 Also provides error metrics against the level-sparse approximation
 bounds (diagnostic ratios: the bounds hold up to unspecified constants)
-and a seeded multi-trial recovery experiment harness.  The harness
-solves the trials of a run together, in stacks of at most 512 KiB of
-operator (at least two trials each): every trial takes its step in one
+and a seeded multi-trial recovery experiment harness.  The solver works
+in complex128 only, so a real operator (the Gaussian baseline's) runs as
+its complex cast.  The harness solves the trials of a run together, in
+stacks of at most 512 KiB of complex operator (at least two trials
+each), sized before the first draw: every trial takes its step in one
 set of batched numpy calls and leaves the stack at its own convergence
 check, and every result is bit for bit that of a solve on its own
 (:func:`solve_qcbp` is a stack of one on the same loop).
@@ -41,6 +43,7 @@ from .levels import _STACK_BYTES, best_approx_in_levels, random_sparse_vector
 from .operators import gaussian_matrix
 from .sampling import (
     _as_seed_sequence,
+    _check_counts,
     _trial_count,
     build_measurement,
     draw_scheme,
@@ -131,9 +134,7 @@ def _forward(a, z):
 
 def _adjoint(a, q):
     """A_b^H q_b for each trial b, with no conjugate copy of the stack."""
-    if np.iscomplexobj(a):
-        return np.conj(np.conj(q)[:, None, :] @ a)[:, 0, :]
-    return (a.transpose(0, 2, 1) @ q[:, :, None])[:, :, 0]
+    return np.conj(np.conj(q)[:, None, :] @ a)[:, 0, :]
 
 
 def _compact_rows(keep, *arrays):
@@ -147,7 +148,8 @@ def _compact_rows(keep, *arrays):
 def _solve_stack(a, y, eta, w, norms, max_iters=50000, primal_tol=1e-7):
     """:func:`solve_qcbp` on a stack of problems that share ``eta`` and ``w``.
 
-    ``a`` is (B, m, n), ``y`` is (B, m) complex and ``norms`` holds the
+    ``a`` is a (B, m, n) complex128 stack (a real operator is passed as
+    its complex cast), ``y`` is (B, m) complex and ``norms`` holds the
     B spectral norms ||A_b||, which set the steps.  Returns one
     SolveResult per trial, each bit for bit that of solving the trial on
     its own.  All trials take each step in one set of batched calls, and
@@ -273,7 +275,8 @@ def solve_qcbp(problem, max_iters=50000, primal_tol=1e-7):
     misreads).  Hitting the iteration cap returns the current iterate
     flagged ``converged=False``.  Deterministic for fixed inputs.
     """
-    return _solve_stack(problem.a[None], problem.y[None], float(problem.eta), problem.w,
+    a = np.asarray(problem.a, dtype=np.complex128)  # the solver's one dtype
+    return _solve_stack(a[None], problem.y[None], float(problem.eta), problem.w,
                         [np.linalg.norm(problem.a, 2)], max_iters, primal_tol)[0]
 
 
@@ -325,8 +328,10 @@ def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radi
     """Run the trials; ``make_matrix(seed)`` draws A and gives (A, ||A||),
     ``m_record`` is each trial's m.
 
-    Trials are drawn into a stack of at most ``_STACK_BYTES`` of operator
-    (at least two trials) and solved together by :func:`_solve_stack`.
+    Every A is sum(m_record) x N, so one complex stack of at most
+    ``_STACK_BYTES`` of operator (at least two trials) is allocated before
+    the first draw; each slice of trials is drawn into it (a real A is cast
+    as it is copied in) and solved together by :func:`_solve_stack`.
     """
     trials = _trial_count(trials)
     ball_radius = float(radius) if radius is not None else float(eta)
@@ -335,30 +340,27 @@ def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radi
     # one weight per column, w_j = 1/sqrt(s_k) on level k, built once
     w = (np.repeat(inverse_sqrt_level_weights(pattern), pattern.levels.widths)
          if weighted else np.ones(pattern.levels.n))
+    rows, n = sum(m_record), pattern.levels.n
+    depth = min(trials, max(2, _STACK_BYTES // (16 * rows * n)))
+    a_stack = np.empty((depth, rows, n), dtype=np.complex128)
+    y_stack = np.empty((depth, rows), dtype=np.complex128)
 
     records = []
-    a_stack = y_stack = None
-    signals, norms = [], []  # the true vector and ||A|| of each trial in the current stack
-    for index, child in enumerate(_as_seed_sequence(seed).spawn(trials)):
-        matrix_ss, x_ss, noise_ss = child.spawn(3)
-        a, norm = make_matrix(matrix_ss)
-        x = random_sparse_vector(pattern, np.random.default_rng(x_ss), magnitude_model)
-        y = a @ x
-        if eta > 0:
-            rng_noise = np.random.default_rng(noise_ss)
-            direction = rng_noise.standard_normal(len(y)) + 1j * rng_noise.standard_normal(len(y))
-            y = y + direction * (eta / np.linalg.norm(direction))
-        if a_stack is None:
-            depth = min(trials, max(2, _STACK_BYTES // a.nbytes))
-            a_stack = np.empty((depth,) + a.shape, dtype=a.dtype)
-            y_stack = np.empty((depth, len(y)), dtype=np.complex128)
-        a_stack[len(signals)] = a
-        y_stack[len(signals)] = y
-        signals.append(x)
-        norms.append(norm)
-        del a  # the stack holds the only copy
-        if len(signals) < len(a_stack) and index < trials - 1:
-            continue
+    children = _as_seed_sequence(seed).spawn(trials)
+    for start in range(0, trials, depth):
+        signals, norms = [], []  # the true vector and ||A|| of each trial in this stack
+        for slot, child in enumerate(children[start:start + depth]):
+            matrix_ss, x_ss, noise_ss = child.spawn(3)
+            a_stack[slot], norm = make_matrix(matrix_ss)  # the stack holds the only copy
+            x = random_sparse_vector(pattern, np.random.default_rng(x_ss), magnitude_model)
+            y = a_stack[slot] @ x
+            if eta > 0:
+                rng_noise = np.random.default_rng(noise_ss)
+                direction = rng_noise.standard_normal(len(y)) + 1j * rng_noise.standard_normal(len(y))
+                y = y + direction * (eta / np.linalg.norm(direction))
+            y_stack[slot] = y
+            signals.append(x)
+            norms.append(norm)
         results = _solve_stack(a_stack[:len(signals)], y_stack[:len(signals)], ball_radius, w,
                                norms=norms, **(solver_opts or {}))
         for x, result in zip(signals, results):
@@ -378,7 +380,6 @@ def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radi
                 "bound_ratio_l1": metrics["bound_ratio_l1"],
                 "bound_ratio_l2": metrics["bound_ratio_l2"],
             })
-        signals, norms = [], []
     rate = sum(1 for rec in records if rec["success"]) / trials
     return ExperimentResult(success_rate=rate, records=tuple(records))
 
@@ -404,7 +405,7 @@ def exact_recovery_experiment(u, levels, m, r0, pattern, trials, seed, eta=0.0,
     the rows of u are orthonormal.  This is not checked here; the CLI
     checks a matrix loaded from a file once per run.
     """
-    m = tuple(operator.index(v) for v in m)
+    m = _check_counts(levels, m, r0)  # before the stack is sized by sum(m)
 
     def make_matrix(ss):
         scheme = draw_scheme(levels, m, r0=r0, seed=ss)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ripl_lab import LevelStructure, SparsityPattern, dft_matrix, save_matrix, support_blocks
-from ripl_lab.cli import main, write_table
+from ripl_lab.cli import main, write_json, write_table
 
 
 def _write_config(tmp_path, name, payload):
@@ -102,6 +102,37 @@ def test_csv_table_streams_its_rows(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 200_001
     assert lines[:3] == ["i,x,even", "0,0.0,1", f"1,{1 / 3!r},0"]
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(0, float("nan"), True), (1, float("inf"), False), (2, -float("inf"), True)],
+    [(3, 0.1, False), (4, [1.5, float("nan")], True)],
+    [(i, i / 7, i % 3 == 0) for i in range(256)],  # one full run of records
+    [(i, i / 7, i % 3 == 0) for i in range(600)],  # runs joined, the last one partial
+], ids=["empty", "non-finite", "nested", "one-run", "runs"])
+def test_json_table_is_write_json_of_its_records(tmp_path, rows):
+    header = ("i", "x", "even")
+    write_table(tmp_path / "t.json", header, iter(rows), "json")
+    write_json(tmp_path / "w.json", [dict(zip(header, row)) for row in rows])
+    assert (tmp_path / "t.json").read_bytes() == (tmp_path / "w.json").read_bytes()
+
+
+def test_json_table_streams_its_records(tmp_path):
+    # 100,000 records of about 60 bytes: a record list or one dumped string
+    # would pass 6 MB
+    rows = ((i, i / 3, i % 2 == 0) for i in range(100_000))
+    path = tmp_path / "t.json"
+    tracemalloc.start()
+    try:
+        write_table(path, ("i", "x", "even"), rows, "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    records = json.loads(path.read_text())
+    assert len(records) == 100_000
+    assert records[1] == {"i": 1, "x": 1 / 3, "even": False}
 
 
 def test_certify_requires_seed(tmp_path, capsys):
@@ -750,6 +781,32 @@ def test_recover_m_with_an_allocation_block_fails(tmp_path, capsys, monkeypatch)
     assert ("error: recover config takes either m or an allocation block, not both"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def _gaussian_config_fails(tmp_path, monkeypatch, extra):
+    # an ignored key used to leave no trace: the run went on without it
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("ripl_lab.cli.gaussian_recovery_experiment", no_trials)
+    config = {"operator": "gaussian", "N": 16, "s": [2], "trials": 2, "seed": 1, **extra}
+    cfg = _write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_recover_gaussian_rejects_an_allocation_block(tmp_path, capsys, monkeypatch):
+    _gaussian_config_fails(tmp_path, monkeypatch, {
+        "m_total": 10, "allocation": {"mode": "haar-uniform", "C": 0.01}})
+    assert ("error: gaussian recover config takes m or m_total, not an allocation block"
+            in capsys.readouterr().err)
+
+
+def test_recover_gaussian_rejects_m_with_m_total(tmp_path, capsys, monkeypatch):
+    _gaussian_config_fails(tmp_path, monkeypatch, {"m": [10], "m_total": 6})
+    assert ("error: gaussian recover config takes either m or m_total, not both"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["coherence", "certify", "recover", "allocate"])

@@ -325,10 +325,13 @@ def test_gaussian_experiment_shares_trial_signals():
 
 
 def _mixed_stack(real, eta):
-    """Six trials with 1-4 nonzeros, one zero operator, two columns of weight +inf."""
+    """Six trials with 1-4 nonzeros, one zero operator, two columns of weight +inf.
+
+    The stack is complex128, the solver's one dtype; ``real`` draws
+    real-valued entries and hands over their complex cast."""
     rng = np.random.default_rng(8)
     count, m, n = 6, 12, 21
-    a = rng.standard_normal((count, m, n))
+    a = rng.standard_normal((count, m, n)).astype(np.complex128)
     if not real:
         a = a + 1j * rng.standard_normal((count, m, n))
     a[2] = 0.0
@@ -359,6 +362,21 @@ def test_stack_matches_solving_each_trial_alone(real, eta, max_iters):
     assert len(set(iterations) - {0}) >= 3  # trials leave the stack at different checks
     if max_iters == 240:
         assert {(one.iterations, one.converged) for one in alone} >= {(200, True), (240, False)}
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+def test_real_operator_solves_as_its_complex_cast(eta):
+    # the solver has one dtype: a real A gives, bit for bit, the result on
+    # its complex cast.  ||A|| stays the SVD of A as given (a complex SVD of
+    # the cast can differ in its last bit), so the cast is solved at that norm.
+    a, y, w = _mixed_stack(True, eta)
+    for a_b, y_b in zip(a.real, y):
+        got = solve_qcbp(QcbpProblem(a=a_b, y=y_b, eta=eta, w=w))
+        want, = recovery._solve_stack(a_b.astype(np.complex128)[None], y_b[None], eta, w,
+                                      [np.linalg.norm(a_b, 2)])
+        assert got.xhat.view(np.uint64).tolist() == want.xhat.view(np.uint64).tolist()
+        assert ((got.iterations, got.converged, got.gap, got.residual, got.objective)
+                == (want.iterations, want.converged, want.gap, want.residual, want.objective))
 
 
 def test_experiment_records_do_not_depend_on_stack_depth(monkeypatch):

@@ -1,0 +1,104 @@
+"""Check that two source checkouts write byte-identical CLI outputs.
+
+    python3 tools/compare_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are the roots of two checkouts of this repository.  The
+configs are the JSON config of each command section of CHANGE's README and
+the four benchmark workload configs of CHANGE's ``bench/workloads.py``
+(imported, not changed).  Each config runs at seeds 1-3 in csv and json,
+once per checkout, with ``python -m ripl_lab.cli`` importing the package
+from that checkout's ``src/``.  Every run prints ``identical``, ``differs``
+(with the files whose bytes differ) or ``failed`` (a nonzero exit on
+either side).  The exit status is 1 if any run differs or failed.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+FORMATS = ("csv", "json")
+
+
+def readme_configs(root):
+    """(name, command, config) of each README section that opens with a JSON config."""
+    text = (root / "README.md").read_text()
+    return [(f"readme-{command}", command, json.loads(block))
+            for command, block in re.findall(r"^### (\w+)\n\n```json\n(.*?)```", text,
+                                             re.MULTILINE | re.DOTALL)]
+
+
+def workload_configs(root):
+    """(name, command, config) of each full-size benchmark workload."""
+    path = root / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    # registered before it runs: its dataclass looks its module up by name
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(wl.name, wl.command, wl.config) for wl in map(workloads.make, workloads.NAMES)]
+
+
+def run(checkout, command, config_path, seed, fmt, out):
+    """Run one CLI command from ``checkout``'s sources; returns the completed process."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "ripl_lab.cli", command, "--config", str(config_path),
+            "--seed", str(seed), "--out", str(out), "--format", fmt]
+    return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+
+def differing_files(left, right):
+    """Names of the files present in only one directory or with unequal bytes."""
+    names = {p.name for p in left.iterdir()} | {p.name for p in right.iterdir()}
+    return sorted(name for name in names
+                  if not ((left / name).is_file() and (right / name).is_file()
+                          and (left / name).read_bytes() == (right / name).read_bytes()))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the reference checkout")
+    parser.add_argument("change", type=Path, help="root of the checkout under test")
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    configs = readme_configs(checkouts["change"]) + workload_configs(checkouts["change"])
+
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, command, config in configs:
+            config_path = tmp / f"{name}.json"
+            config_path.write_text(json.dumps(config))
+            for seed in SEEDS:
+                for fmt in FORMATS:
+                    label = f"{name} seed={seed} {fmt}"
+                    outs = {side: tmp / side / f"{name}-{seed}-{fmt}" for side in checkouts}
+                    done = {side: run(root, command, config_path, seed, fmt, outs[side])
+                            for side, root in checkouts.items()}
+                    failed = {side: proc for side, proc in done.items() if proc.returncode}
+                    if failed:
+                        bad += 1
+                        for side, proc in failed.items():
+                            last = (proc.stderr.strip().splitlines() or ["(no stderr)"])[-1]
+                            print(f"failed    {label}: {side} exited {proc.returncode}: {last}",
+                                  flush=True)
+                        continue
+                    files = differing_files(outs["parent"], outs["change"])
+                    if done["parent"].stdout != done["change"].stdout:
+                        files.append("<stdout>")
+                    bad += bool(files)
+                    print(f"{'differs' if files else 'identical':9s} {label}"
+                          + (f": {', '.join(files)}" if files else ""), flush=True)
+    runs = len(configs) * len(SEEDS) * len(FORMATS)
+    print(f"{runs - bad} of {runs} runs identical")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -403,6 +403,8 @@ def cmd_recover(config, args):
             sparsity.n, m_total, pattern, trials, seed, radius=radius, **shared
         )
     else:
+        if "m_total" in config:
+            raise ValueError("scheme recover config takes m or an allocation block, not m_total")
         u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
         # the solver takes ||A|| in closed form from each scheme, exact only for an isometry
         if resolved["operator"] == "file" and not (u.shape[0] == u.shape[1] and is_isometry(u)):

@@ -203,8 +203,9 @@ def best_approx_in_levels(x, pattern):
 
 
 # bytes of one batched stack: the complex Gram stack gathered from one block
-# of supports here, and the operators of one solver stack in recovery (which
-# still holds at least two trials)
+# of supports here, the operators of one solver stack in recovery (which
+# still holds at least two trials), and one block of columns of the
+# Fourier--Haar matrix built in operators
 _STACK_BYTES = 1 << 19
 
 

@@ -4,9 +4,9 @@ Provides the unitary DFT over the symmetric frequency range
 {-N/2+1, ..., N/2}, the orthonormal Haar wavelet basis with
 coarse-to-fine column ordering, the product of the band-reordered DFT
 with the Haar basis (the flagship coherent isometry whose rows group
-into dyadic frequency bands, built by one inverse FFT), its table of
-squared moduli per (row, Haar scale), which coherence reads without
-building the N x N product, and an i.i.d. Gaussian baseline matrix.
+into dyadic frequency bands, inverse FFTs of 512 KiB column blocks), its
+table of squared moduli per (row, Haar scale), which coherence reads
+without building the N x N product, and an i.i.d. Gaussian baseline matrix.
 
 Matrices serialize to a small binary container (two little-endian uint64
 dims followed by row-major float64 interleaved re/im).
@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .levels import LevelStructure
+from .levels import _STACK_BYTES, LevelStructure
 
 __all__ = [
     "dft_matrix",
@@ -58,6 +58,19 @@ def dft_matrix(n):
     return np.exp(2j * np.pi * np.outer(freqs, j) / n) / np.sqrt(n)
 
 
+def _haar_columns(n, cols):
+    """Haar columns ``cols`` (ints) as float64 (N, len(cols)), for H, U and |U|^2: column 0 is
+    1/sqrt(N); column 2^s + t is sqrt(2^s/N), then its negation, on [tN/2^s, (t+1)N/2^s)."""
+    h = np.zeros((n, len(cols)))
+    for k, j in enumerate(cols):
+        s = max(j.bit_length() - 1, 0)  # the scale, 2^s <= j < 2^(s+1); column 0 takes s = t = 0
+        lo, half = j % 2**s * (n >> s), n >> (s + 1)  # the support is [lo, lo + 2 half)
+        amp = np.sqrt(2.0**s / n) if j else 1.0 / np.sqrt(n)
+        h[lo:lo + half, k] = amp
+        h[lo + half:lo + 2 * half, k] = -amp if j else amp  # the scaling column is constant
+    return h
+
+
 def haar_matrix(n):
     """Orthonormal Haar basis as columns, coarse to fine.
 
@@ -66,15 +79,7 @@ def haar_matrix(n):
     hold the wavelets at scale k-1 ordered by translate, left to right.
     """
     n = _require_pow2(n)
-    h = np.zeros((n, n))
-    h[:, 0] = 1.0 / np.sqrt(n)
-    rows = np.arange(n)
-    for scale in range(n.bit_length() - 1):
-        # row i lies in translate i // support, which is column 2^scale + i // support
-        support = n >> scale
-        amp = np.sqrt(2.0**scale / n)
-        h[rows, 2**scale + rows // support] = np.where(rows % support < support // 2, amp, -amp)
-    return h
+    return _haar_columns(n, range(n))
 
 
 def _band_rows(n):
@@ -89,33 +94,21 @@ def _band_rows(n):
 def fourier_haar_matrix(n):
     """Band-reordered DFT times the Haar basis, with its sampling levels.
 
-    Returns (U, levels).  U is unitary and is computed as one orthonormal
-    inverse FFT of the Haar columns: row (w mod N) of that transform is
-    the :func:`dft_matrix` row of frequency w.  The rows run over the
+    Returns (U, levels).  U is unitary, filled in 512 KiB column blocks, each
+    the orthonormal inverse FFT of its Haar columns: transform row (w mod N)
+    is the :func:`dft_matrix` row of frequency w.  The rows run over the
     dyadic frequency bands W_1 = {0, 1}, W_{k+1} = {-2^k+1..-2^{k-1}}
     union {2^{k-1}+1..2^k}, ascending within each band (a byte-stable
     order that affects no block maximum), so the k-th row block is band
     W_k and ``levels`` is ``LevelStructure.dyadic(r)``, boundaries 2^k.
     """
     n = _require_pow2(n)
-    # one complex N x N buffer: transformed in place, then its rows are
-    # permuted in place cycle by cycle through a single row buffer
+    rows = _band_rows(n)
+    width = max(1, _STACK_BYTES // (16 * n))  # columns per block: at most 512 KiB of U
     u = np.empty((n, n), dtype=np.complex128)
-    u[...] = haar_matrix(n)
-    np.fft.ifft(u, axis=0, norm="ortho", out=u)
-    source = _band_rows(n)  # row i of U is transform row source[i]
-    placed = np.zeros(n, dtype=bool)
-    for start in range(n):
-        if placed[start]:
-            continue
-        row = u[start].copy()
-        i = start
-        while source[i] != start:
-            u[i] = u[source[i]]
-            placed[i] = True
-            i = source[i]
-        u[i] = row
-        placed[i] = True
+    for start in range(0, n, width):
+        h = _haar_columns(n, range(start, min(start + width, n)))
+        u[:, start:start + width] = np.fft.ifft(h, axis=0, norm="ortho")[rows]
     return u, LevelStructure.dyadic(n.bit_length() - 1)
 
 
@@ -129,12 +122,7 @@ def fourier_haar_table(n):
     column ``j.bit_length()``.
     """
     n = _require_pow2(n)
-    h = np.zeros((n, n.bit_length()))
-    h[:, 0] = 1.0 / np.sqrt(n)
-    for scale in range(n.bit_length() - 1):  # each scale's first translate, as haar_matrix
-        half = n >> (scale + 1)
-        h[:half, scale + 1] = np.sqrt(2.0**scale / n)
-        h[half : 2 * half, scale + 1] = -h[0, scale + 1]
+    h = _haar_columns(n, [0] + [2**s for s in range(n.bit_length() - 1)])  # first translates
     return np.abs(np.fft.ifft(h, axis=0, norm="ortho")[_band_rows(n)]) ** 2
 
 

@@ -323,10 +323,11 @@ class ExperimentResult:
     records: tuple
 
 
-def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radius,
+def _run_recovery_trials(make_matrix, m_record, n, pattern, trials, seed, eta, radius,
                          weighted, solver_opts, success_rtol, magnitude_model):
     """Run the trials; ``make_matrix(seed)`` draws A and gives (A, ||A||),
-    ``m_record`` is each trial's m.
+    ``m_record`` is each trial's m and ``n`` the operator's column count,
+    which must be the pattern's N.
 
     Every A is sum(m_record) x N, so one complex stack of at most
     ``_STACK_BYTES`` of operator (at least two trials) is allocated before
@@ -340,7 +341,9 @@ def _run_recovery_trials(make_matrix, m_record, pattern, trials, seed, eta, radi
     # one weight per column, w_j = 1/sqrt(s_k) on level k, built once
     w = (np.repeat(inverse_sqrt_level_weights(pattern), pattern.levels.widths)
          if weighted else np.ones(pattern.levels.n))
-    rows, n = sum(m_record), pattern.levels.n
+    if pattern.levels.n != n:
+        raise ValueError(f"sparsity pattern has N = {pattern.levels.n}, the operator has N = {n}")
+    rows = sum(m_record)
     depth = min(trials, max(2, _STACK_BYTES // (16 * rows * n)))
     a_stack = np.empty((depth, rows, n), dtype=np.complex128)
     y_stack = np.empty((depth, rows), dtype=np.complex128)
@@ -412,7 +415,7 @@ def exact_recovery_experiment(u, levels, m, r0, pattern, trials, seed, eta=0.0,
         return build_measurement(u, scheme).a, measurement_norm(scheme)
 
     return _run_recovery_trials(
-        make_matrix, list(m),
+        make_matrix, list(m), np.shape(u)[1],
         pattern, trials, seed, eta, radius, weighted, solver_opts,
         success_rtol, magnitude_model,
     )
@@ -435,7 +438,7 @@ def gaussian_recovery_experiment(n, m_total, pattern, trials, seed, eta=0.0,
         return a, np.linalg.norm(a, 2)
 
     return _run_recovery_trials(
-        make_matrix, [m_total],
+        make_matrix, [m_total], operator.index(n),
         pattern, trials, seed, eta, radius, weighted, solver_opts,
         success_rtol, magnitude_model,
     )

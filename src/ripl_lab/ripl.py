@@ -162,9 +162,9 @@ def ricl_monte_carlo(a, pattern, trials, seed):
     Each trial draws a random level-sparse vector from its own derived
     stream and evaluates |  ||Ax||^2 / ||x||^2 - 1 |; every record-breaking
     support is then refined to its exact max(lambda_max - 1, 1 - lambda_min)
-    with LAPACK (``np.linalg.eigvalsh`` on its Gram submatrix).  With a
-    fixed master seed the estimate is non-decreasing in ``trials`` (the
-    first T streams do not depend on the total) and never exceeds the
+    by one batched LAPACK ``np.linalg.eigvalsh`` over their Gram submatrices.
+    With a fixed master seed the estimate is non-decreasing in ``trials``
+    (the first T streams do not depend on the total) and never exceeds the
     exact constant.
     """
     mat = _as_matrix(a, pattern)
@@ -188,14 +188,10 @@ def ricl_monte_carlo(a, pattern, trials, seed):
             best_x = x
             records.add(tuple(np.nonzero(x)[0]))
 
-    delta = max(best, 0.0)
-    for idx in records:
-        idx = np.asarray(idx, dtype=np.intp)
-        cols = mat[:, idx]
-        vals = np.linalg.eigvalsh(cols.conj().T @ cols)
-        delta = max(delta, float(vals[-1] - 1.0), float(1.0 - vals[0]))
+    cols = mat[:, np.array(sorted(records))].transpose(1, 0, 2)
+    vals = np.linalg.eigvalsh(np.conj(cols).transpose(0, 2, 1) @ cols)
     return RiclReport(
-        delta=delta,
+        delta=max(best, 0.0, float(vals[:, -1].max() - 1.0), float(1.0 - vals[:, 0].min())),
         method="monte-carlo",
         pattern=pattern,
         witness_vector=best_x,

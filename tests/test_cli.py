@@ -819,3 +819,19 @@ def test_config_must_be_a_json_object(tmp_path, capsys, command, config):
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert f"error: the config must be a JSON object, got {config!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_recover_scheme_rejects_m_total(tmp_path, capsys, monkeypatch):
+    # used to exit 0 with no trace of m_total in summary.json
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the operator was resolved")
+
+    monkeypatch.setattr("ripl_lab.cli.resolve_operator", no_operator)
+    cfg = _write_config(tmp_path, "c.json", {
+        "operator": "fourier-haar", "N": 16, "s": [1, 1, 1, 1], "m": [2, 2, 4, 8],
+        "m_total": 5, "trials": 2, "seed": 1})
+    out = tmp_path / "o"
+    assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
+    assert ("error: scheme recover config takes m or an allocation block, not m_total"
+            in capsys.readouterr().err)
+    assert not out.exists()

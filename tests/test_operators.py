@@ -8,6 +8,7 @@ from ripl_lab import (
     LevelStructure,
     dft_matrix,
     fourier_haar_matrix,
+    fourier_haar_table,
     gaussian_matrix,
     global_coherence,
     haar_matrix,
@@ -16,6 +17,7 @@ from ripl_lab import (
     matrix_content_hash,
     save_matrix,
 )
+from ripl_lab.operators import _band_rows
 
 POW2 = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
@@ -156,6 +158,21 @@ def test_fourier_haar_matches_dense_product():
         u, levels = fourier_haar_matrix(n)
         assert np.max(np.abs(u - dft_matrix(n)[rows] @ haar_matrix(n))) <= 1e-12, n
         assert levels == LevelStructure.dyadic(len(bands))
+
+
+def test_fourier_haar_blocks_equal_one_transform_bit_for_bit():
+    # N = 256 fills U in 2 column blocks, N = 1024 in 32
+    for n in (256, 1024):
+        u, _ = fourier_haar_matrix(n)
+        whole = np.fft.ifft(haar_matrix(n), axis=0, norm="ortho")[_band_rows(n)]
+        assert np.array_equal(u.view(np.uint64), whole.view(np.uint64)), n
+
+
+def test_fourier_haar_table_is_u_first_translates_bit_for_bit():
+    for n in (16, 512):
+        u, _ = fourier_haar_matrix(n)
+        first = np.abs(u[:, [0] + [2**s for s in range(n.bit_length() - 1)]]) ** 2
+        assert np.array_equal(fourier_haar_table(n).view(np.uint64), first.view(np.uint64)), n
 
 
 def test_gaussian_column_norms_and_determinism():

@@ -406,3 +406,17 @@ def test_experiment_rejects_a_bad_radius_before_any_trial(monkeypatch):
     for opts in ({"eta": -0.1}, {"radius": math.nan}):
         with pytest.raises(ValueError, match="eta must be >= 0"):
             exact_recovery_experiment(u, lv, (2, 2, 3), 2, pattern, 2, seed=1, **opts)
+
+
+def test_exact_experiment_rejects_a_pattern_of_another_n():
+    # used to fail deep in numpy: could not broadcast (16,16) into (16,8)
+    u, lv = fourier_haar_matrix(16)
+    pattern = SparsityPattern(LevelStructure((0, 4, 8)), (1, 1))
+    with pytest.raises(ValueError, match="sparsity pattern has N = 8, the operator has N = 16"):
+        exact_recovery_experiment(u, lv, (2, 2, 4, 8), 2, pattern, 2, seed=1)
+
+
+def test_gaussian_experiment_rejects_a_pattern_of_another_n():
+    pattern = SparsityPattern(LevelStructure((0, 4, 8)), (1, 1))
+    with pytest.raises(ValueError, match="sparsity pattern has N = 8, the operator has N = 16"):
+        gaussian_recovery_experiment(16, 6, pattern, 2, seed=1)

@@ -3,13 +3,15 @@
     python3 tools/compare_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are the roots of two checkouts of this repository.  The
-configs are the JSON config of each command section of CHANGE's README and
+configs are the JSON config of each command section of CHANGE's README,
 the four benchmark workload configs of CHANGE's ``bench/workloads.py``
-(imported, not changed).  Each config runs at seeds 1-3 in csv and json,
-once per checkout, with ``python -m ripl_lab.cli`` importing the package
-from that checkout's ``src/``.  Every run prints ``identical``, ``differs``
-(with the files whose bytes differ) or ``failed`` (a nonzero exit on
-either side).  The exit status is 1 if any run differs or failed.
+(imported, not changed) and two certify configs past their enumeration
+budget, which take the Monte-Carlo fallback.  Each config runs at seeds
+1-3 in csv and json, once per checkout, with ``python -m ripl_lab.cli``
+importing the package from that checkout's ``src/``.  Every run prints
+``identical``, ``differs`` (with the files whose bytes differ) or
+``failed`` (a nonzero exit on either side).  The exit status is 1 if any
+run differs or failed.
 """
 from __future__ import annotations
 
@@ -45,6 +47,15 @@ def workload_configs(root):
     return [(wl.name, wl.command, wl.config) for wl in map(workloads.make, workloads.NAMES)]
 
 
+def monte_carlo_configs(workloads):
+    """(name, command, config) of two certify runs that fall back to Monte-Carlo."""
+    fh32 = dict(next(config for name, _, config in workloads if name == "certify-fh32"),
+                max_supports=1000, mc_trials=500)
+    dft64 = {"operator": "dft", "N": 64, "m": [20], "s": [3], "max_supports": 10,
+             "mc_trials": 300}
+    return [("mc-certify-fh32", "certify", fh32), ("mc-certify-dft64", "certify", dft64)]
+
+
 def run(checkout, command, config_path, seed, fmt, out):
     """Run one CLI command from ``checkout``'s sources; returns the completed process."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -67,7 +78,8 @@ def main(argv=None):
     parser.add_argument("change", type=Path, help="root of the checkout under test")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    configs = readme_configs(checkouts["change"]) + workload_configs(checkouts["change"])
+    workloads = workload_configs(checkouts["change"])
+    configs = readme_configs(checkouts["change"]) + workloads + monte_carlo_configs(workloads)
 
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -35,6 +35,7 @@ from . import __version__
 from .coherence import CoherenceProfile, fourier_haar_local_coherence, local_coherence
 from .levels import _MAGNITUDE_MODELS, LevelStructure, SparsityPattern, support_blocks
 from .operators import (
+    _FourierHaarBlocks,
     dft_matrix,
     fourier_haar_matrix,
     fourier_haar_table,
@@ -132,14 +133,15 @@ def load_config(path):
 def resolve_operator(config, seed=None):
     """Build the source matrix named in the config and its levels.
 
-    Returns (U, sampling levels, sparsity levels, resolved keys).  The
-    levels default to the Fourier--Haar bands, or to a single level for
-    every other operator; see ``resolve_levels``.
+    Returns (U, sampling levels, sparsity levels, resolved keys), Fourier--Haar
+    U as its column blocks.  The levels default to the Fourier--Haar bands,
+    or to a single level for every other operator; see ``resolve_levels``.
     """
     name = config.get("operator", "fourier-haar")
     n = _config_int(config.get("N", 0), "N", 0)
-    if name == "fourier-haar":
-        u, levels = fourier_haar_matrix(n)
+    if name == "fourier-haar":  # certify and recover gather rows of U, never all of it
+        u = _FourierHaarBlocks(n)
+        levels = LevelStructure.dyadic(n.bit_length() - 1)
     elif name == "dft":
         u = dft_matrix(n)
     elif name == "haar":
@@ -312,7 +314,8 @@ def cmd_certify(config, args):
     scheme = draw_scheme(sampling, m, r0=r0, seed=scheme_ss)
     op = build_measurement(u, scheme)
     report = certify_recovery(
-        op, pattern, max_supports=max_supports, mc_trials=mc_trials, seed=mc_ss
+        op, pattern, max_supports=max_supports, mc_trials=mc_trials, seed=mc_ss,
+        spectra=per_support,
     )
 
     tables = []

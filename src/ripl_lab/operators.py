@@ -4,9 +4,9 @@ Provides the unitary DFT over the symmetric frequency range
 {-N/2+1, ..., N/2}, the orthonormal Haar wavelet basis with
 coarse-to-fine column ordering, the product of the band-reordered DFT
 with the Haar basis (the flagship coherent isometry whose rows group
-into dyadic frequency bands, inverse FFTs of 512 KiB column blocks), its
-table of squared moduli per (row, Haar scale), which coherence reads
-without building the N x N product, and an i.i.d. Gaussian baseline matrix.
+into dyadic frequency bands, inverse FFTs of 512 KiB column blocks, from
+which measurements gather rows without U), its table of squared moduli
+per (row, Haar scale), read by coherence, and an i.i.d. Gaussian baseline.
 
 Matrices serialize to a small binary container (two little-endian uint64
 dims followed by row-major float64 interleaved re/im).
@@ -91,25 +91,39 @@ def _band_rows(n):
     return np.mod(freqs, n)
 
 
+class _FourierHaarBlocks:
+    """U of :func:`fourier_haar_matrix` (its ``shape`` and ``dtype``) as 512 KiB column blocks:
+    iterating yields (start, block), the inverse FFT of Haar columns start.. in transform-row
+    order, so U[i, start + j] is block[rows[i], j] and a caller gathers only the rows it needs."""
+
+    def __init__(self, n):
+        n = _require_pow2(n)
+        self.shape, self.dtype, self.rows = (n, n), np.dtype(np.complex128), _band_rows(n)
+
+    def __iter__(self):
+        n = self.shape[0]
+        width = max(1, _STACK_BYTES // (16 * n))  # columns per block: at most 512 KiB of U
+        for start in range(0, n, width):
+            h = _haar_columns(n, range(start, min(start + width, n)))
+            yield start, np.fft.ifft(h, axis=0, norm="ortho")
+
+
 def fourier_haar_matrix(n):
     """Band-reordered DFT times the Haar basis, with its sampling levels.
 
-    Returns (U, levels).  U is unitary, filled in 512 KiB column blocks, each
-    the orthonormal inverse FFT of its Haar columns: transform row (w mod N)
+    Returns (U, levels).  U is unitary, every row of :class:`_FourierHaarBlocks`,
+    the orthonormal inverse FFTs of its Haar columns: transform row (w mod N)
     is the :func:`dft_matrix` row of frequency w.  The rows run over the
     dyadic frequency bands W_1 = {0, 1}, W_{k+1} = {-2^k+1..-2^{k-1}}
     union {2^{k-1}+1..2^k}, ascending within each band (a byte-stable
     order that affects no block maximum), so the k-th row block is band
     W_k and ``levels`` is ``LevelStructure.dyadic(r)``, boundaries 2^k.
     """
-    n = _require_pow2(n)
-    rows = _band_rows(n)
-    width = max(1, _STACK_BYTES // (16 * n))  # columns per block: at most 512 KiB of U
-    u = np.empty((n, n), dtype=np.complex128)
-    for start in range(0, n, width):
-        h = _haar_columns(n, range(start, min(start + width, n)))
-        u[:, start:start + width] = np.fft.ifft(h, axis=0, norm="ortho")[rows]
-    return u, LevelStructure.dyadic(n.bit_length() - 1)
+    blocks = _FourierHaarBlocks(n)
+    u = np.empty(blocks.shape, dtype=blocks.dtype)
+    for start, block in blocks:
+        u[:, start:start + block.shape[1]] = block[blocks.rows]
+    return u, LevelStructure.dyadic(blocks.shape[0].bit_length() - 1)
 
 
 def fourier_haar_table(n):

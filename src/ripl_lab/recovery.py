@@ -40,12 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levels import _STACK_BYTES, best_approx_in_levels, random_sparse_vector
-from .operators import gaussian_matrix
+from .operators import _FourierHaarBlocks, gaussian_matrix
 from .sampling import (
     _as_seed_sequence,
     _check_counts,
+    _fill_measurements,
     _trial_count,
-    build_measurement,
     draw_scheme,
     measurement_norm,
 )
@@ -323,17 +323,17 @@ class ExperimentResult:
     records: tuple
 
 
-def _run_recovery_trials(make_matrix, m_record, n, pattern, trials, seed, eta, radius,
+def _run_recovery_trials(fill_stack, m_record, n, pattern, trials, seed, eta, radius,
                          weighted, solver_opts, success_rtol, magnitude_model):
-    """Run the trials; ``make_matrix(seed)`` draws A and gives (A, ||A||),
-    ``m_record`` is each trial's m and ``n`` the operator's column count,
-    which must be the pattern's N.
+    """Run the trials; ``fill_stack(stack, seeds)`` draws the A of each seed into
+    its slot and gives each ||A||, ``m_record`` is each trial's m and ``n`` the
+    operator's column count, which must be the pattern's N.
 
     Every A is sum(m_record) x N, so one complex stack of at most
-    ``_STACK_BYTES`` of operator (at least two trials) is allocated before
-    the first draw; each slice of trials is drawn into it (a real A is cast
-    as it is copied in) and solved together by :func:`_solve_stack`.
-    """
+    ``_STACK_BYTES`` of operator (at least two trials) is allocated before the
+    first draw; each slice of trials is filled into it (a real A is cast as it
+    is copied in), then draws its signals and noise from the trials' own
+    streams, and is solved together by :func:`_solve_stack`."""
     trials = _trial_count(trials)
     ball_radius = float(radius) if radius is not None else float(eta)
     if not ball_radius >= 0:  # NaN fails this too, as in QcbpProblem
@@ -351,10 +351,10 @@ def _run_recovery_trials(make_matrix, m_record, n, pattern, trials, seed, eta, r
     records = []
     children = _as_seed_sequence(seed).spawn(trials)
     for start in range(0, trials, depth):
-        signals, norms = [], []  # the true vector and ||A|| of each trial in this stack
-        for slot, child in enumerate(children[start:start + depth]):
-            matrix_ss, x_ss, noise_ss = child.spawn(3)
-            a_stack[slot], norm = make_matrix(matrix_ss)  # the stack holds the only copy
+        streams = [child.spawn(3) for child in children[start:start + depth]]
+        norms = fill_stack(a_stack, [matrix_ss for matrix_ss, _, _ in streams])
+        signals = []  # the true vector of each trial in this stack
+        for slot, (_, x_ss, noise_ss) in enumerate(streams):
             x = random_sparse_vector(pattern, np.random.default_rng(x_ss), magnitude_model)
             y = a_stack[slot] @ x
             if eta > 0:
@@ -363,7 +363,6 @@ def _run_recovery_trials(make_matrix, m_record, n, pattern, trials, seed, eta, r
                 y = y + direction * (eta / np.linalg.norm(direction))
             y_stack[slot] = y
             signals.append(x)
-            norms.append(norm)
         results = _solve_stack(a_stack[:len(signals)], y_stack[:len(signals)], ball_radius, w,
                                norms=norms, **(solver_opts or {}))
         for x, result in zip(signals, results):
@@ -402,20 +401,22 @@ def exact_recovery_experiment(u, levels, m, r0, pattern, trials, seed, eta=0.0,
     so results are independent of execution order; solver
     non-convergence is recorded per trial, never raised.
 
-    ``u`` must be a square isometry (unitary): the solver's steps take
-    ||A|| in closed form from each drawn scheme
-    (:func:`~ripl_lab.sampling.measurement_norm`), which holds only when
-    the rows of u are orthonormal.  This is not checked here; the CLI
-    checks a matrix loaded from a file once per run.
+    ``u``, an array or Fourier--Haar U's column blocks, must be a square
+    isometry (unitary): the solver's steps take ||A|| in closed form from
+    each drawn scheme (:func:`~ripl_lab.sampling.measurement_norm`), which
+    holds only when the rows of u are orthonormal.  This is not checked
+    here; the CLI checks a matrix loaded from a file once per run.
     """
     m = _check_counts(levels, m, r0)  # before the stack is sized by sum(m)
+    u = u if isinstance(u, _FourierHaarBlocks) else np.asarray(u)
 
-    def make_matrix(ss):
-        scheme = draw_scheme(levels, m, r0=r0, seed=ss)
-        return build_measurement(u, scheme).a, measurement_norm(scheme)
+    def fill_stack(stack, seeds):  # one pass over u's column blocks fills every slot
+        schemes = [draw_scheme(levels, m, r0=r0, seed=ss) for ss in seeds]
+        _fill_measurements(stack, schemes, u)
+        return [measurement_norm(scheme) for scheme in schemes]
 
     return _run_recovery_trials(
-        make_matrix, list(m), np.shape(u)[1],
+        fill_stack, list(m), u.shape[1],
         pattern, trials, seed, eta, radius, weighted, solver_opts,
         success_rtol, magnitude_model,
     )
@@ -433,12 +434,13 @@ def gaussian_recovery_experiment(n, m_total, pattern, trials, seed, eta=0.0,
     """
     m_total = operator.index(m_total)
 
-    def make_matrix(ss):
-        a = gaussian_matrix(m_total, n, np.random.default_rng(ss))
-        return a, np.linalg.norm(a, 2)
+    def fill_stack(stack, seeds):
+        for slot, ss in enumerate(seeds):
+            stack[slot] = gaussian_matrix(m_total, n, np.random.default_rng(ss))
+        return [np.linalg.norm(a.real, 2) for a in stack[:len(seeds)]]  # each drawn real A
 
     return _run_recovery_trials(
-        make_matrix, [m_total], operator.index(n),
+        fill_stack, [m_total], operator.index(n),
         pattern, trials, seed, eta, radius, weighted, solver_opts,
         success_rtol, magnitude_model,
     )

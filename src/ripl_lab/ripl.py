@@ -41,12 +41,14 @@ class EnumerationBudgetError(RuntimeError):
 
 
 def _as_matrix(a, pattern):
-    """The matrix of ``a``, checked to have one column per index of ``pattern``."""
+    """The matrix of ``a``, checked to be finite with one column per index of ``pattern``."""
     mat = a.a if isinstance(a, MeasurementOperator) else np.asarray(a)
     if mat.ndim != 2 or mat.shape[1] != pattern.levels.n:
         raise ValueError(
             f"expected a matrix with {pattern.levels.n} columns, got shape {mat.shape}"
         )
+    if not np.isfinite(mat).all():
+        raise ValueError("the matrix has non-finite entries (NaN or infinity)")
     return mat
 
 
@@ -59,7 +61,7 @@ class RiclReport:
     for the Monte-Carlo method ``delta`` is a lower bound on the exact
     value and ``witness_vector`` is the best sampled direction.
     ``lam_min`` and ``lam_max`` are the exact method's per-support
-    extremal eigenvalues, in enumeration order.
+    extremal eigenvalues, in enumeration order, when asked for.
     """
 
     delta: float
@@ -87,7 +89,7 @@ class RiclReport:
         return d
 
 
-def ricl_exact(a, pattern, max_supports=10**6):
+def ricl_exact(a, pattern, max_supports=10**6, spectra=True):
     """Exact restricted isometry constant in levels by enumeration.
 
     Enumerates every support with exactly s_k indices per level (which
@@ -97,13 +99,15 @@ def ricl_exact(a, pattern, max_supports=10**6):
     one fancy index), and maximizes max(lambda_max - 1, 1 - lambda_min).
     A block's gathered Gram stack stays within 512 KiB or holds a single
     support, so the memory held beyond the n x n Gram and the two
-    per-support result arrays does not grow with the number of supports.
+    per-support spectra, when asked for, does not grow with the number of
+    supports.
     Ties go to the support that comes first in the lexicographic
     enumeration; ``witness_support`` holds its 1-based indices.  The
     result checks itself: one more ``eigvalsh`` of the witness's Gram
     block must reproduce delta to 1e-12, or a ``RuntimeError`` is raised.
-    ``lam_min`` and ``lam_max`` of the report hold every support's
-    extremes in that order.  Raises
+    With ``spectra`` (the default), ``lam_min`` and ``lam_max`` of the
+    report hold every support's extremes in that order, 16 bytes a
+    support; without it they are None.  Raises
     :class:`EnumerationBudgetError` when the support count exceeds
     ``max_supports``.
     """
@@ -114,20 +118,20 @@ def ricl_exact(a, pattern, max_supports=10**6):
             f"{n_supports} supports exceed the budget {max_supports}"
         )
     if pattern.total == 0:
-        return RiclReport(0.0, "exact-enumeration", pattern, (), None, 1,
-                          np.empty(0), np.empty(0))
+        empty = np.empty(0) if spectra else None
+        return RiclReport(0.0, "exact-enumeration", pattern, (), None, 1, empty, empty)
     gram = mat.conj().T @ mat
 
-    lam_min = np.empty(n_supports)
-    lam_max = np.empty(n_supports)
+    lam_min, lam_max = (np.empty(n_supports), np.empty(n_supports)) if spectra else (None, None)
     best = -math.inf
     best_support = None
     examined = 0
     for idx in support_blocks(pattern):
         vals = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
         stop = examined + len(idx)
-        lam_min[examined:stop] = vals[:, 0]
-        lam_max[examined:stop] = vals[:, -1]
+        if spectra:
+            lam_min[examined:stop] = vals[:, 0]
+            lam_max[examined:stop] = vals[:, -1]
         deltas = np.maximum(vals[:, -1] - 1.0, 1.0 - vals[:, 0])
         j = int(np.argmax(deltas))
         if deltas[j] > best:
@@ -249,7 +253,8 @@ class CertificationReport:
         }
 
 
-def certify_recovery(a, pattern, max_supports=10**6, mc_trials=2000, seed=None):
+def certify_recovery(a, pattern, max_supports=10**6, mc_trials=2000, seed=None,
+                     spectra=False):
     """Certify recovery sufficiency via the doubled-order constant.
 
     Computes delta_{2s,M} (budgets 2 s_k, clamped to the level widths)
@@ -258,14 +263,15 @@ def certify_recovery(a, pattern, max_supports=10**6, mc_trials=2000, seed=None):
     ripl_threshold(r, rho(s)).  An exact constant decides either way; a
     lower bound can only refute (at or above the threshold) or be
     inconclusive.  "insufficient" means this sufficient condition fails,
-    not that recovery is impossible.
+    not that recovery is impossible.  ``spectra`` asks the exact method for
+    every support's extremal eigenvalues (see :func:`ricl_exact`).
     """
     doubled, clamped = pattern.doubled()
     rho = pattern.ratio
     threshold = ripl_threshold(pattern.levels.r, rho)
 
     if count_supports(doubled) <= max_supports:
-        report = ricl_exact(a, doubled, max_supports=max_supports)
+        report = ricl_exact(a, doubled, max_supports=max_supports, spectra=spectra)
         verdict = "sufficient" if report.delta < threshold else "insufficient"
         method = "exact"
     else:

@@ -38,6 +38,7 @@ import numpy as np
 
 from .coherence import CoherenceProfile
 from .levels import LevelError, LevelStructure, SparsityPattern
+from .operators import _FourierHaarBlocks
 
 __all__ = [
     "SamplingScheme",
@@ -203,22 +204,32 @@ class MeasurementOperator:
     k_factor: float
 
 
-def build_measurement(u, scheme):
-    """Assemble the scaled measurement matrix from an isometry and a scheme."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+def _fill_measurements(outs, schemes, u):
+    """Gather and scale each scheme's rows of ``u``, a square array (one block) or Fourier--Haar
+    U's column blocks, straight into its ``out``, in one pass over the blocks."""
+    n = schemes[0].levels.n
+    if len(u.shape) != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square source matrix, got {u.shape}")
-    if u.shape[0] != scheme.levels.n:
-        raise ValueError(
-            f"scheme levels end at {scheme.levels.n}, matrix is {u.shape[0]} x {u.shape[1]}"
-        )
-    # each level's rows are scaled straight into the matrix: no stacked copy
-    a = np.empty((sum(scheme.m), u.shape[1]), dtype=np.result_type(u, 1.0))
-    start = 0
-    for dk, pk in zip(scheme.draws, scheme.densities()):
-        np.divide(u[np.asarray(dk, dtype=np.intp) - 1], math.sqrt(pk),
-                  out=a[start:start + len(dk)])
-        start += len(dk)
+    if u.shape[0] != n:
+        raise ValueError(f"scheme levels end at {n}, matrix is {u.shape[0]} x {u.shape[1]}")
+    blocks, rows = (u, u.rows) if isinstance(u, _FourierHaarBlocks) else ([(0, u)], np.arange(n))
+    picks = [[(rows[np.asarray(dk, dtype=np.intp) - 1], math.sqrt(pk))
+              for dk, pk in zip(scheme.draws, scheme.densities())] for scheme in schemes]
+    for start, block in blocks:
+        cols = slice(start, start + block.shape[1])
+        for out, scheme_picks in zip(outs, picks):
+            row = 0
+            for idx, root_p in scheme_picks:
+                np.divide(block[idx], root_p, out=out[row:row + len(idx), cols])
+                row += len(idx)
+
+
+def build_measurement(u, scheme):
+    """Assemble the scaled measurement matrix from an isometry and a scheme; from
+    Fourier--Haar U's column blocks only the drawn rows are computed, bit for bit."""
+    u = u if isinstance(u, _FourierHaarBlocks) else np.asarray(u)
+    a = np.empty((sum(scheme.m), scheme.levels.n), dtype=np.result_type(u.dtype, 1.0))
+    _fill_measurements([a], [scheme], u)
     return MeasurementOperator(a=a, k_factor=k_factor(scheme.levels, scheme.m))
 
 

@@ -502,6 +502,20 @@ def test_general_allocation_never_builds_u(tmp_path, monkeypatch):
     assert main(["allocate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("command, summary, config", [
+    ("certify", "certification.json", {"m": [2, 2, 4, 8, 8], "r0": 2, "s": [1, 1, 1, 1, 1]}),
+    ("recover", "summary.json", {"m": [2, 2, 4, 8, 8], "r0": 2, "s": [1, 1, 1, 1, 1],
+                                 "trials": 3, "eta": 0.01}),
+])
+def test_fourier_haar_certify_and_recover_never_build_u(tmp_path, monkeypatch, command,
+                                                        summary, config):
+    monkeypatch.setattr("ripl_lab.cli.fourier_haar_matrix", _no_dense_fourier_haar)
+    cfg = _write_config(tmp_path, "c.json", {"operator": "fourier-haar", "N": 32, **config})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+    assert json.loads((out / summary).read_text())["config"]["N"] == 32
+
+
 @pytest.mark.parametrize("n, message", [
     (3, "N must be a power of two >= 2, got 3"),
     (8192, "dense construction capped at N = 4096"),

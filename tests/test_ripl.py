@@ -214,6 +214,33 @@ def test_ricl_exact_zero_pattern():
     assert peak < 1e6
 
 
+def test_ricl_exact_spectra_only_on_request():
+    a, pattern = _three_level_case()
+    full = ricl_exact(a, pattern)
+    bare = ricl_exact(a, pattern, spectra=False)
+    assert bare == full and bare.supports_examined == len(full.lam_min)
+    assert bare.lam_min is None and bare.lam_max is None
+    # certify keeps them only for a caller that asks; (1, 1, 1) doubles to ``pattern``
+    half = SparsityPattern(pattern.levels, (1, 1, 1))
+    assert certify_recovery(a, half).ricl.lam_min is None
+    assert np.array_equal(certify_recovery(a, half, spectra=True).ricl.lam_min, full.lam_min)
+
+
+def test_ricl_exact_rejects_non_finite_matrices():
+    pattern = SparsityPattern(LevelStructure((0, 4, 8)), (1, 1))
+    one_inf = np.eye(6, 8)
+    one_inf[2, 5] = np.inf
+    for a in (np.full((6, 8), np.nan), one_inf):
+        with pytest.raises(ValueError, match="the matrix has non-finite entries"):
+            ricl_exact(a, pattern)
+
+
+def test_ricl_monte_carlo_rejects_non_finite_matrices():
+    pattern = SparsityPattern(LevelStructure((0, 4, 8)), (1, 1))
+    with pytest.raises(ValueError, match="the matrix has non-finite entries"):
+        ricl_monte_carlo(np.full((6, 8), np.nan), pattern, trials=20, seed=1)
+
+
 def test_ricl_monte_carlo_saturated_is_zero():
     u, lv = fourier_haar_matrix(8)
     scheme = draw_scheme(lv, lv.widths, r0=lv.r, seed=0)

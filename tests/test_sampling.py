@@ -20,7 +20,13 @@ from ripl_lab import (
     ricl_monte_carlo,
 )
 from ripl_lab.recovery import exact_recovery_experiment, gaussian_recovery_experiment
-from ripl_lab.sampling import _as_seed_sequence, _check_counts, measurement_norm
+from ripl_lab.operators import _FourierHaarBlocks
+from ripl_lab.sampling import (
+    _as_seed_sequence,
+    _check_counts,
+    _fill_measurements,
+    measurement_norm,
+)
 
 
 def test_saturated_level_draws_in_order():
@@ -344,6 +350,33 @@ def test_build_measurement_matches_stacked_level_blocks():
         a = build_measurement(source, scheme).a
         assert a.dtype == oracle.dtype
         assert a.view(np.uint64).tolist() == oracle.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n, m, blocks", [
+    (256, (2, 2, 4, 8, 12, 16, 24, 32), 2),
+    (1024, (2, 2, 4, 8, 12, 16, 24, 32, 40, 48), 32),
+])
+def test_block_built_measurement_matches_dense_u(n, m, blocks):
+    source = _FourierHaarBlocks(n)
+    assert sum(1 for _ in source) == blocks
+    u, lv = fourier_haar_matrix(n)
+    scheme = draw_scheme(lv, m, r0=2, seed=3)
+    assert any(len(set(dk)) < len(dk) for dk in scheme.draws)  # a repeated draw
+    a = build_measurement(source, scheme).a
+    assert np.array_equal(a.view(np.uint64), build_measurement(u, scheme).a.view(np.uint64))
+
+
+@pytest.mark.parametrize("source", ["blocks", "dense"])
+def test_stack_fill_matches_each_scheme_built_alone(source):
+    u, lv = fourier_haar_matrix(256)
+    m = (2, 2, 4, 8, 12, 16, 24, 32)
+    schemes = [draw_scheme(lv, m, r0=2, seed=seed) for seed in range(3)]
+    stack = np.zeros((4, sum(m), 256), dtype=np.complex128)
+    _fill_measurements(stack, schemes, _FourierHaarBlocks(256) if source == "blocks" else u)
+    for slot, scheme in enumerate(schemes):
+        alone = build_measurement(u, scheme).a
+        assert np.array_equal(stack[slot].view(np.uint64), alone.view(np.uint64))
+    assert not stack[3].any()  # a slot with no scheme is left alone
 
 
 def _norm_cases():

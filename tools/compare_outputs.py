@@ -5,8 +5,10 @@
 PARENT and CHANGE are the roots of two checkouts of this repository.  The
 configs are the JSON config of each command section of CHANGE's README,
 the four benchmark workload configs of CHANGE's ``bench/workloads.py``
-(imported, not changed) and two certify configs past their enumeration
-budget, which take the Monte-Carlo fallback.  Each config runs at seeds
+(imported, not changed) and four more certify configs: ``certify-fh32``
+with its per-support table, and three past their enumeration budget, which
+take the Monte-Carlo fallback (one at N = 512, whose measurement matrix is
+gathered from eight column blocks of U).  Each config runs at seeds
 1-3 in csv and json, once per checkout, with ``python -m ripl_lab.cli``
 importing the package from that checkout's ``src/``.  Every run prints
 ``identical``, ``differs`` (with the files whose bytes differ) or
@@ -47,13 +49,18 @@ def workload_configs(root):
     return [(wl.name, wl.command, wl.config) for wl in map(workloads.make, workloads.NAMES)]
 
 
-def monte_carlo_configs(workloads):
-    """(name, command, config) of two certify runs that fall back to Monte-Carlo."""
-    fh32 = dict(next(config for name, _, config in workloads if name == "certify-fh32"),
-                max_supports=1000, mc_trials=500)
+def certify_configs(workloads):
+    """(name, command, config) of ``certify-fh32`` with its per-support table and
+    of three certify runs that fall back to Monte-Carlo."""
+    fh32 = next(config for name, _, config in workloads if name == "certify-fh32")
     dft64 = {"operator": "dft", "N": 64, "m": [20], "s": [3], "max_supports": 10,
              "mc_trials": 300}
-    return [("mc-certify-fh32", "certify", fh32), ("mc-certify-dft64", "certify", dft64)]
+    fh512 = {"operator": "fourier-haar", "N": 512, "m": [2, 2, 4, 8, 12, 16, 24, 32, 40],
+             "r0": 2, "s": [1, 1, 1, 1, 1, 1, 1, 1, 1], "mc_trials": 200}
+    return [("certify-fh32-per-support", "certify", dict(fh32, per_support_csv=True)),
+            ("mc-certify-fh32", "certify", dict(fh32, max_supports=1000, mc_trials=500)),
+            ("mc-certify-dft64", "certify", dft64),
+            ("mc-certify-fh512", "certify", fh512)]
 
 
 def run(checkout, command, config_path, seed, fmt, out):
@@ -79,7 +86,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = workload_configs(checkouts["change"])
-    configs = readme_configs(checkouts["change"]) + workloads + monte_carlo_configs(workloads)
+    configs = readme_configs(checkouts["change"]) + workloads + certify_configs(workloads)
 
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -4,10 +4,9 @@ Every command runs on one skeleton.  ``main`` loads the JSON config and
 calls the command inside its one error handler (``error: ...``, exit 1).
 The command does only its own computation: ``resolve_operator`` gives
 ``coherence``, ``certify`` and ``recover`` their operator, levels and
-shared resolved keys (the Gaussian ``recover`` baseline, which draws a
-matrix per trial, and Fourier--Haar ``coherence``, which reads the
-operator's |U|^2 table instead of U, take only ``resolve_levels``), and
-``ALLOCATORS`` maps each allocation mode to its allocator for
+shared resolved keys (Fourier--Haar U as its column blocks; the Gaussian
+``recover`` baseline, which draws a matrix per trial, takes only
+``resolve_levels``), and ``allocate_mode`` runs one allocation mode for
 ``allocate`` and ``recover``.  ``write_outputs`` is the one place
 outputs reach ``--out``: it stamps the command into the resolved config,
 hashes it, and writes the summary JSON and the tables.  The hash lets
@@ -32,13 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coherence import CoherenceProfile, fourier_haar_local_coherence, local_coherence
+from .coherence import CoherenceProfile, local_coherence
 from .levels import _MAGNITUDE_MODELS, LevelStructure, SparsityPattern, support_blocks
 from .operators import (
     _FourierHaarBlocks,
     dft_matrix,
     fourier_haar_matrix,
-    fourier_haar_table,
     gaussian_matrix,
     haar_matrix,
     is_isometry,
@@ -201,6 +199,15 @@ def _config_json(config, key, kind, default=None):
     return value
 
 
+def _config_block(config, key, allowed):
+    """The config object ``key`` (empty if absent) if it has no key outside ``allowed``."""
+    block = _config_json(config, key, dict, {})
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {key} option(s) {unknown}; allowed: {', '.join(allowed)}")
+    return block
+
+
 def _config_ints(config, key):
     """The config list ``key`` of integers >= 0 as a tuple; the library checks their range."""
     return tuple(_config_int(value, key, 0) for value in _config_json(config, key, list))
@@ -235,25 +242,17 @@ def write_outputs(args, resolved, summary_name, summary, tables=()):
         write_table(out / f"{name}.{args.format}", header, rows, args.format)
 
 
-def _general_allocation(pattern, delta, eps, c, r0):
-    # the general condition takes its local coherences from the Fourier--Haar operator
-    levels = pattern.levels
-    mu_local = fourier_haar_local_coherence(fourier_haar_table(levels.n), levels, levels)
-    profile = CoherenceProfile.from_local(mu_local, levels, levels)
-    return allocate_uniform(profile, pattern, delta, eps, c, r0=r0)
+_HAAR_MODES = ("haar-uniform", "haar-nonuniform")  # recover takes these modes only
 
 
-# allocation mode -> allocator(pattern, delta, eps, C, r0); recover takes the
-# Fourier--Haar modes only.  The lambdas look allocate_haar up in this module at
-# call time, so a wrapper put there sees it.
-_HAAR_MODES = ("haar-uniform", "haar-nonuniform")
-ALLOCATORS = {
-    "haar-uniform": lambda pattern, delta, eps, c, r0: allocate_haar(
-        pattern, delta, eps, c, r0=r0, mode="uniform"),
-    "haar-nonuniform": lambda pattern, delta, eps, c, r0: allocate_haar(
-        pattern, delta, eps, c, r0=r0, mode="nonuniform"),
-    "general": _general_allocation,
-}
+def allocate_mode(mode, pattern, delta, eps, c, r0):
+    """The allocation of ``mode``: a Haar mode's closed form, or ``general``'s
+    uniform condition on the Fourier--Haar local coherences."""
+    if mode == "general":
+        levels = pattern.levels
+        profile = CoherenceProfile.from_matrix(_FourierHaarBlocks(levels.n), levels, levels)
+        return allocate_uniform(profile, pattern, delta, eps, c, r0=r0)
+    return allocate_haar(pattern, delta, eps, c, r0=r0, mode=mode.removeprefix("haar-"))
 
 
 def _allocation_constants(block):
@@ -267,15 +266,8 @@ def cmd_coherence(config, args):
     name = config.get("operator", "fourier-haar")
     # only the Gaussian operator depends on the seed
     seed = _require_seed(config, args.seed, "coherence") if name == "gaussian" else None
-    if name == "fourier-haar":
-        table = fourier_haar_table(_config_int(config.get("N", 0), "N", 0))
-        sampling, sparsity, resolved = resolve_levels(
-            config, LevelStructure.dyadic(table.shape[1] - 1))
-        mu_local = fourier_haar_local_coherence(table, sampling, sparsity)
-        profile = CoherenceProfile.from_local(mu_local, sampling, sparsity)
-    else:
-        u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
-        profile = CoherenceProfile.from_matrix(u, sampling, sparsity)
+    u, sampling, sparsity, resolved = resolve_operator(config, seed=seed)
+    profile = CoherenceProfile.from_matrix(u, sampling, sparsity)
     if seed is not None:
         resolved["seed"] = seed
 
@@ -344,10 +336,7 @@ def cmd_certify(config, args):
 
 def _solver_options(config):
     """The recover config's solver block, validated before any other work."""
-    solver_opts = dict(_config_json(config, "solver", dict, {}))
-    unknown = sorted(set(solver_opts) - {"max_iters", "primal_tol"})
-    if unknown:
-        raise ValueError(f"unknown solver option(s) {unknown}; allowed: max_iters, primal_tol")
+    solver_opts = dict(_config_block(config, "solver", ("max_iters", "primal_tol")))
     if "max_iters" in solver_opts:
         _config_int(solver_opts["max_iters"], "solver max_iters")
     if "primal_tol" in solver_opts:
@@ -359,6 +348,7 @@ def _solver_options(config):
 
 def cmd_recover(config, args):
     solver_opts = _solver_options(config)
+    alloc_opts = _config_block(config, "allocation", ("mode", "delta", "eps", "C"))
     seed = _require_seed(config, args.seed, "recover")
     s = _config_ints(config, "s")
     r0 = _config_int(config.get("r0", 0), "r0", 0)
@@ -417,13 +407,12 @@ def cmd_recover(config, args):
         if m is None:
             if "allocation" not in config:
                 raise ValueError("recover config needs either m or an allocation block")
-            block = _config_json(config, "allocation", dict)
-            mode = block.get("mode", "haar-uniform")
-            constants = _allocation_constants(block)
+            mode = alloc_opts.get("mode", "haar-uniform")
+            constants = _allocation_constants(alloc_opts)
             # the general mode's coherences are Fourier--Haar's, not the operator's
             if mode not in _HAAR_MODES:
                 raise ValueError(f"unsupported allocation mode {mode!r} in recover")
-            alloc = ALLOCATORS[mode](pattern, *constants, r0)
+            alloc = allocate_mode(mode, pattern, *constants, r0)
             m = alloc.m
         m = _check_counts(sampling, m, r0)
         k = k_factor(sampling, m)
@@ -471,11 +460,11 @@ def cmd_allocate(config, args):
     pattern = SparsityPattern(levels, s)
     results = {}
     for mode in modes:
-        if mode not in tuple(ALLOCATORS):  # compared, not hashed: a mode is any JSON value
+        if mode not in (*_HAAR_MODES, "general"):  # compared, not hashed: a mode is any JSON value
             raise ValueError(f"unknown allocation mode {mode!r}")
         if mode in results:
             raise ValueError(f"allocation mode {mode!r} given twice")
-        results[mode] = ALLOCATORS[mode](pattern, delta, eps, c, r0)
+        results[mode] = allocate_mode(mode, pattern, delta, eps, c, r0)
 
     columns = [("level", range(1, levels.r + 1)), ("width", levels.widths), ("s", s)]
     for mode in modes:
@@ -514,7 +503,7 @@ def cmd_selftest(config, args):
           np.max(np.abs(u - dense)) <= 1e-12)
     check("fourier-haar(16) unitary", is_isometry(u, 1e-10))
     check("fourier-haar(16) table block maxima equal the dense ones bit for bit",
-          np.array_equal(fourier_haar_local_coherence(fourier_haar_table(16), levels, levels),
+          np.array_equal(local_coherence(_FourierHaarBlocks(16), levels, levels),
                          local_coherence(u, levels, levels)))
     check("dft(16) unitary", is_isometry(dft_matrix(16), 1e-10))
     check("haar(16) orthonormal", is_isometry(haar_matrix(16), 1e-10))

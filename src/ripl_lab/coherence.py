@@ -4,8 +4,9 @@ The global coherence is the largest squared entry modulus.  The local
 coherence matrix refines it per (sampling level, sparsity level) block;
 its nonuniform variant mu~_{k,l} = max_t sqrt(mu_{k,l} mu_{k,t}) is the
 (entrywise larger) quantity required by nonuniform recovery conditions.
-For Fourier--Haar the block maxima come from the operator's (N, r+1)
-table of |U|^2 per (row, Haar scale), so U is never built.
+Fourier--Haar U, given as its column blocks, has its block maxima read
+from the operator's (N, r+1) table of |U|^2 per (row, Haar scale), so
+U is never built.
 """
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levels import LevelStructure
+from .operators import _FourierHaarBlocks, fourier_haar_table
 
 __all__ = [
     "CoherenceProfile",
-    "fourier_haar_local_coherence",
     "global_coherence",
     "local_coherence",
     "nonuniform_local_coherence",
@@ -37,42 +38,32 @@ def _check_partition(u, levels, what):
         raise ValueError(f"{what} levels end at {levels.n}, matrix has {u.shape[0]} rows")
 
 
-def _block_maxima(sq, sampling, column_slices):
-    out = np.empty((sampling.r, len(column_slices)))
-    for k in range(sampling.r):
-        rows = sq[sampling.level_slice(k + 1)]
-        for l, cols in enumerate(column_slices):
-            out[k, l] = rows[:, cols].max()
-    return out
-
-
 def local_coherence(u, sampling, sparsity):
     """r x r matrix of block maxima of |U_ij|^2.
 
     Entry (k, l) is the maximum over rows in sampling level k and
-    columns in sparsity level l.
+    columns in sparsity level l.  Fourier--Haar U's column blocks are
+    read from ``fourier_haar_table(N)``: Haar column j reads table column
+    ``j.bit_length()``, so a sparsity level spans the table columns of its
+    first and last Haar columns.
     """
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    u = u if isinstance(u, _FourierHaarBlocks) else np.asarray(u)
+    if len(u.shape) != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"local coherence needs a square matrix, got {u.shape}")
     _check_partition(u, sampling, "sampling")
     _check_partition(u, sparsity, "sparsity")
-    slices = [sparsity.level_slice(l) for l in range(1, sparsity.r + 1)]
-    return _block_maxima(np.abs(u) ** 2, sampling, slices)
-
-
-def fourier_haar_local_coherence(table, sampling, sparsity):
-    """``local_coherence`` of the Fourier--Haar matrix from ``fourier_haar_table(N)``.
-
-    Haar column j reads table column ``j.bit_length()``, so a sparsity level
-    spans the table columns of its first and last Haar columns."""
-    table = np.asarray(table)
-    _check_partition(table, sampling, "sampling")
-    _check_partition(table, sparsity, "sparsity")
-    bounds = sparsity.boundaries
-    slices = [slice(lo.bit_length(), (hi - 1).bit_length() + 1)
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return _block_maxima(table, sampling, slices)
+    bounds = list(zip(sparsity.boundaries[:-1], sparsity.boundaries[1:]))
+    if isinstance(u, _FourierHaarBlocks):
+        sq = fourier_haar_table(u.shape[0])
+        slices = [slice(lo.bit_length(), (hi - 1).bit_length() + 1) for lo, hi in bounds]
+    else:
+        sq, slices = np.abs(u) ** 2, [slice(lo, hi) for lo, hi in bounds]
+    out = np.empty((sampling.r, len(slices)))
+    for k in range(sampling.r):
+        rows = sq[sampling.level_slice(k + 1)]
+        for l, cols in enumerate(slices):
+            out[k, l] = rows[:, cols].max()
+    return out
 
 
 def nonuniform_local_coherence(mu_local):

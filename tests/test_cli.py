@@ -88,9 +88,23 @@ def test_certify_command_and_replay(tmp_path, capsys):
         report["report"]["delta"], abs=1e-12)
 
 
+def test_per_support_table_needs_an_exact_certificate(tmp_path):
+    # past max_supports the Monte-Carlo fallback has no support list to tabulate
+    cfg = _write_config(
+        tmp_path, "cert.json",
+        {"operator": "fourier-haar", "N": 16, "m": [2, 2, 4, 8], "r0": 2, "s": [1, 1, 1, 1],
+         "seed": 7, "max_supports": 10, "mc_trials": 20, "per_support_csv": True},
+    )
+    out = tmp_path / "o"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["certification.json"]
+    report = json.loads((out / "certification.json").read_text())["report"]
+    assert report["method"] == "monte-carlo"
+
+
 def test_csv_table_streams_its_rows(tmp_path):
-    # 200,000 rows of about 25 bytes: a table joined in memory would pass 5 MB
-    rows = ((i, i / 3, i % 2 == 0) for i in range(200_000))
+    # 50,000 rows of about 25 bytes: a table joined in memory would pass 5 MB
+    rows = ((i, i / 3, i % 2 == 0) for i in range(50_000))
     path = tmp_path / "t.csv"
     tracemalloc.start()
     try:
@@ -100,7 +114,7 @@ def test_csv_table_streams_its_rows(tmp_path):
         tracemalloc.stop()
     assert peak < 1e6
     lines = path.read_text().splitlines()
-    assert len(lines) == 200_001
+    assert len(lines) == 50_001
     assert lines[:3] == ["i,x,even", "0,0.0,1", f"1,{1 / 3!r},0"]
 
 
@@ -119,9 +133,9 @@ def test_json_table_is_write_json_of_its_records(tmp_path, rows):
 
 
 def test_json_table_streams_its_records(tmp_path):
-    # 100,000 records of about 60 bytes: a record list or one dumped string
-    # would pass 6 MB
-    rows = ((i, i / 3, i % 2 == 0) for i in range(100_000))
+    # 30,000 records of about 60 bytes: a record list or one dumped string
+    # would pass 30 MB
+    rows = ((i, i / 3, i % 2 == 0) for i in range(30_000))
     path = tmp_path / "t.json"
     tracemalloc.start()
     try:
@@ -131,7 +145,7 @@ def test_json_table_streams_its_records(tmp_path):
         tracemalloc.stop()
     assert peak < 1e6
     records = json.loads(path.read_text())
-    assert len(records) == 100_000
+    assert len(records) == 30_000
     assert records[1] == {"i": 1, "x": 1 / 3, "even": False}
 
 
@@ -351,6 +365,29 @@ def test_recover_unknown_solver_option_fails_before_trials(tmp_path, capsys, sol
     assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"error: unknown solver option(s) {sorted(solver)}; allowed: max_iters, primal_tol" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("allocation, unknown", [
+    ({"mode": "haar-uniform", "c": 1e-3}, ["c"]),
+    ({"modes": ["general"], "r0": 2, "C": 1e-3}, ["modes", "r0"]),
+])
+def test_recover_unknown_allocation_key_fails_before_the_operator(
+        tmp_path, capsys, monkeypatch, allocation, unknown):
+    # "c" for "C" used to run at the default C = 1.0 and saturate every band
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the operator was resolved")
+
+    monkeypatch.setattr("ripl_lab.cli.resolve_operator", no_operator)
+    cfg = _write_config(
+        tmp_path, "rec.json",
+        {"operator": "fourier-haar", "N": 64, "s": [1, 1, 1, 1, 1, 1], "trials": 1,
+         "seed": 1, "allocation": allocation},
+    )
+    out = tmp_path / "o"
+    assert main(["recover", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: unknown allocation option(s) {unknown}; allowed: mode, delta, eps, C" in err
     assert not out.exists()
 
 

@@ -5,7 +5,6 @@ from ripl_lab import (
     CoherenceProfile,
     LevelStructure,
     dft_matrix,
-    fourier_haar_local_coherence,
     fourier_haar_matrix,
     fourier_haar_table,
     gaussian_matrix,
@@ -14,6 +13,7 @@ from ripl_lab import (
     local_coherence,
     nonuniform_local_coherence,
 )
+from ripl_lab.operators import _FourierHaarBlocks
 
 
 def test_global_coherence_identity_and_dft():
@@ -89,26 +89,26 @@ def test_fourier_haar_table_matches_dense_block_maxima(n):
                                   for _ in range(3 if n > 2 else 0)]
     for sampling, sparsity in cases:
         dense = local_coherence(u, sampling, sparsity)
-        fast = fourier_haar_local_coherence(table, sampling, sparsity)
+        fast = local_coherence(_FourierHaarBlocks(n), sampling, sparsity)
         assert np.max(np.abs(fast - dense)) <= 1e-15
         dense_p = CoherenceProfile.from_local(dense, sampling, sparsity)
         fast_p = CoherenceProfile.from_local(fast, sampling, sparsity)
         assert abs(fast_p.mu_global - dense_p.mu_global) <= 1e-15
         assert np.max(np.abs(fast_p.mu_tilde - dense_p.mu_tilde)) <= 1e-15
     if n <= 16:  # the dyadic bands agree bit for bit at small N
-        fast = fourier_haar_local_coherence(table, levels, levels)
+        fast = local_coherence(_FourierHaarBlocks(n), levels, levels)
         assert np.array_equal(fast, local_coherence(u, levels, levels))
 
 
 def test_fourier_haar_table_on_custom_boundaries():
     u, _ = fourier_haar_matrix(64)
-    table = fourier_haar_table(64)
     for bounds in ((0, 64), (0, 1, 2, 3, 64), (0, 5, 17, 40, 63, 64), (0, 31, 33, 64)):
         for other in ((0, 64), (0, 7, 9, 64), (0, 2, 4, 8, 16, 32, 64)):
             sampling, sparsity = LevelStructure(bounds), LevelStructure(other)
             for pair in ((sampling, sparsity), (sparsity, sampling)):
                 dense = local_coherence(u, *pair)
-                assert np.max(np.abs(fourier_haar_local_coherence(table, *pair) - dense)) <= 1e-15
+                fast = local_coherence(_FourierHaarBlocks(64), *pair)
+                assert np.max(np.abs(fast - dense)) <= 1e-15
 
 
 def test_fourier_haar_table_validates_n_and_levels():
@@ -117,8 +117,7 @@ def test_fourier_haar_table_validates_n_and_levels():
         with pytest.raises(ValueError, match=message):
             fourier_haar_table(n)
     with pytest.raises(ValueError, match="sampling levels end at 8"):
-        fourier_haar_local_coherence(fourier_haar_table(16), LevelStructure((0, 8)),
-                                     LevelStructure((0, 16)))
+        local_coherence(_FourierHaarBlocks(16), LevelStructure((0, 8)), LevelStructure((0, 16)))
 
 
 def test_n_cap_message_holds_for_dense_and_table():

@@ -5,10 +5,12 @@
 PARENT and CHANGE are the roots of two checkouts of this repository.  The
 configs are the JSON config of each command section of CHANGE's README,
 the four benchmark workload configs of CHANGE's ``bench/workloads.py``
-(imported, not changed) and four more certify configs: ``certify-fh32``
+(imported, not changed), four more certify configs: ``certify-fh32``
 with its per-support table, and three past their enumeration budget, which
 take the Monte-Carlo fallback (one at N = 512, whose measurement matrix is
-gathered from eight column blocks of U).  Each config runs at seeds
+gathered from eight column blocks of U), and two ``coherence`` configs of
+dense operators, ``dft`` at N = 64 on custom levels and ``gaussian`` at
+N = 32, drawn from the run's seed.  Each config runs at seeds
 1-3 in csv and json, once per checkout, with ``python -m ripl_lab.cli``
 importing the package from that checkout's ``src/``.  Every run prints
 ``identical``, ``differs`` (with the files whose bytes differ) or
@@ -63,6 +65,14 @@ def certify_configs(workloads):
             ("mc-certify-fh512", "certify", fh512)]
 
 
+def coherence_configs():
+    """(name, command, config) of two ``coherence`` runs that take U as a dense matrix."""
+    dft64 = {"operator": "dft", "N": 64, "sampling_boundaries": [0, 3, 20, 64],
+             "sparsity_boundaries": [0, 1, 9, 33, 40, 64]}
+    return [("coherence-dft64-custom", "coherence", dft64),
+            ("coherence-gaussian32", "coherence", {"operator": "gaussian", "N": 32})]
+
+
 def run(checkout, command, config_path, seed, fmt, out):
     """Run one CLI command from ``checkout``'s sources; returns the completed process."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -86,7 +96,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = workload_configs(checkouts["change"])
-    configs = readme_configs(checkouts["change"]) + workloads + certify_configs(workloads)
+    configs = (readme_configs(checkouts["change"]) + workloads + certify_configs(workloads)
+               + coherence_configs())
 
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:

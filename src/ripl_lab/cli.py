@@ -1,6 +1,7 @@
 """Command-line harness: coherence | certify | recover | allocate | selftest.
 
-Every command runs on one skeleton.  ``main`` loads the JSON config and
+Every command runs on one skeleton.  ``main`` loads the JSON config,
+fails on a top-level key outside the command's set (``_CONFIG_KEYS``) and
 calls the command inside its one error handler (``error: ...``, exit 1).
 The command does only its own computation: ``resolve_operator`` gives
 ``coherence``, ``certify`` and ``recover`` their operator, levels and
@@ -44,6 +45,7 @@ from .operators import (
 )
 from .recovery import (
     QcbpProblem,
+    _DenseStack,
     _solve_stack,
     exact_recovery_experiment,
     gaussian_recovery_experiment,
@@ -199,13 +201,17 @@ def _config_json(config, key, kind, default=None):
     return value
 
 
+def _known_keys(obj, what, allowed):
+    """``obj`` if it has no key outside ``allowed``; else an error naming the others."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what}(s) {unknown}; allowed: {', '.join(allowed)}")
+    return obj
+
+
 def _config_block(config, key, allowed):
     """The config object ``key`` (empty if absent) if it has no key outside ``allowed``."""
-    block = _config_json(config, key, dict, {})
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {key} option(s) {unknown}; allowed: {', '.join(allowed)}")
-    return block
+    return _known_keys(_config_json(config, key, dict, {}), f"{key} option", allowed)
 
 
 def _config_ints(config, key):
@@ -243,6 +249,17 @@ def write_outputs(args, resolved, summary_name, summary, tables=()):
 
 
 _HAAR_MODES = ("haar-uniform", "haar-nonuniform")  # recover takes these modes only
+
+_OPERATOR_KEYS = ("operator", "N", "path", "sampling_boundaries", "sparsity_boundaries", "seed")
+# the top-level config keys of each command; ``main`` fails on any other before the command runs
+_CONFIG_KEYS = {
+    "coherence": _OPERATOR_KEYS,
+    "certify": (*_OPERATOR_KEYS, "s", "m", "r0", "max_supports", "mc_trials", "per_support_csv"),
+    "recover": (*_OPERATOR_KEYS, "s", "m", "m_total", "r0", "allocation", "trials", "eta",
+                "noise_scaling", "weighted", "magnitude_model", "success_rtol", "solver"),
+    "allocate": ("operator", "s", "delta", "eps", "C", "r0", "modes"),
+    "selftest": (),
+}
 
 
 def allocate_mode(mode, pattern, delta, eps, c, r0):
@@ -535,7 +552,7 @@ def cmd_selftest(config, args):
     y = a[:, :, :3] @ np.array([1.0, 1.0, -0.5])  # x has 3 nonzeros
     y[1] += 0.01
     alone = [solve_qcbp(QcbpProblem(a=a_b, y=y_b, eta=0.02)) for a_b, y_b in zip(a, y)]
-    stacked = _solve_stack(a.copy(), y.copy(), 0.02, np.ones(10),
+    stacked = _solve_stack(_DenseStack(a.copy()), y.copy(), 0.02, np.ones(10),
                            [np.linalg.norm(a_b, 2) for a_b in a])
     check("a stack of two qcbp solves matches each solve alone bit for bit", all(
         np.array_equal(one.xhat.view(np.uint64), two.xhat.view(np.uint64))
@@ -589,7 +606,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(load_config(args.config), args)
+        config = _known_keys(load_config(args.config), "config key", _CONFIG_KEYS[args.command])
+        return args.fn(config, args)
     except Exception as exc:  # surface config errors as exit code 1
         if args.debug:
             raise

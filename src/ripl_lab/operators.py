@@ -5,7 +5,9 @@ Provides the unitary DFT over the symmetric frequency range
 coarse-to-fine column ordering, the product of the band-reordered DFT
 with the Haar basis (the flagship coherent isometry whose rows group
 into dyadic frequency bands, inverse FFTs of 512 KiB column blocks, from
-which measurements gather rows without U), its table of squared moduli
+which measurements gather rows without U; recovery past its dense stack
+budget reads only the blocks' transform-row order and applies each drawn
+A as a fast Haar transform and an FFT), its table of squared moduli
 per (row, Haar scale), read by coherence, and an i.i.d. Gaussian baseline.
 
 Matrices serialize to a small binary container (two little-endian uint64
@@ -84,11 +86,10 @@ def haar_matrix(n):
 
 def _band_rows(n):
     """Transform row (w mod N) of each frequency w of U, in band order."""
-    freqs = [0, 1]
+    bands = [np.arange(2)]
     for k in range(1, n.bit_length() - 1):
-        freqs += range(-(2**k) + 1, -(2 ** (k - 1)) + 1)
-        freqs += range(2 ** (k - 1) + 1, 2**k + 1)
-    return np.mod(freqs, n)
+        bands += np.arange(-(2**k) + 1, -(2 ** (k - 1)) + 1), np.arange(2 ** (k - 1) + 1, 2**k + 1)
+    return np.concatenate(bands) % n
 
 
 class _FourierHaarBlocks:

@@ -24,12 +24,17 @@ Also provides error metrics against the level-sparse approximation
 bounds (diagnostic ratios: the bounds hold up to unspecified constants)
 and a seeded multi-trial recovery experiment harness.  The solver works
 in complex128 only, so a real operator (the Gaussian baseline's) runs as
-its complex cast.  The harness solves the trials of a run together, in
-stacks of at most 512 KiB of complex operator (at least two trials
-each), sized before the first draw: every trial takes its step in one
-set of batched numpy calls and leaves the stack at its own convergence
-check, and every result is bit for bit that of a solve on its own
-(:func:`solve_qcbp` is a stack of one on the same loop).
+its complex cast.  The solver takes a stack of operators as a forward/adjoint
+pair, and the harness solves the trials of a run together in such stacks:
+every trial takes its step in one set of batched numpy calls and leaves
+the stack at its own convergence check, and every result is bit for bit
+that of a solve on its own (:func:`solve_qcbp` is a stack of one on the
+same loop).  A stack holds dense operators, at most 512 KiB of them (at
+least two trials), sized before the first draw; or, for Fourier--Haar U
+once two trials' A would pass that cap (sum(m) N > 16,384), it is
+matrix-free: A z = ifft(H z)[drawn rows] / sqrt(p_k), with H z the fast
+Haar synthesis, so it holds only each trial's drawn rows and takes as
+many trials as 512 KiB of complex iterates.
 """
 from __future__ import annotations
 
@@ -128,35 +133,87 @@ def _row_norms(x):
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _forward(a, z):
-    return (a @ z[:, :, None])[:, :, 0]
+class _DenseStack:
+    """A (B, m, N) complex128 stack of operators, one A per trial (a real A as its complex
+    cast), as the forward/adjoint pair :func:`_solve_stack` takes."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def forward(self, z):
+        return (self.a @ z[:, :, None])[:, :, 0]
+
+    def adjoint(self, q):
+        """A_b^H q_b for each trial b, with no conjugate copy of the stack."""
+        return np.conj(np.conj(q)[:, None, :] @ self.a)[:, 0, :]
+
+    def keep(self, trials):
+        """Keep the operators of ``trials`` (ascending), moved to the stack's prefix in place."""
+        for dst, src in enumerate(trials):
+            if dst != src:
+                self.a[dst] = self.a[src]
+        self.a = self.a[:len(trials)]
 
 
-def _adjoint(a, q):
-    """A_b^H q_b for each trial b, with no conjugate copy of the stack."""
-    return np.conj(np.conj(q)[:, None, :] @ a)[:, 0, :]
+class _FourierHaarStack:
+    """The A of each trial's Fourier--Haar scheme, never built: U = P F H, so
+    A z = ifft(H z)[rows] / sqrt(p_k) and A^H q = H^T fft(the scatter-add of q / sqrt(p_k)).
+
+    Holds each trial's transform rows ``u.rows[draws - 1]`` and their divisors sqrt(p_k).
+    H z is r Haar synthesis passes over the amplitude-scaled z (x + d and x - d into the even
+    and odd slots), H^T x their r analysis passes, each O(N) per trial."""
+
+    def __init__(self, u, schemes):
+        self.rows = np.array([u.rows[np.concatenate(scheme.draws) - 1] for scheme in schemes])
+        self.roots = np.array([np.repeat(np.sqrt(scheme.densities()), scheme.m)
+                               for scheme in schemes])
+        n = u.shape[1]
+        scales = 2 ** np.arange(n.bit_length() - 1)
+        # Haar column 0 has amplitude sqrt(1/N), and each of the 2^s columns of scale s sqrt(2^s/N)
+        self.amp = np.sqrt(np.concatenate(([1.0], np.repeat(scales, scales))) / n)
+
+    def forward(self, z):
+        c = z * self.amp
+        x = c[:, :1]
+        while x.shape[1] < c.shape[1]:  # coarse to fine: the details of the next scale
+            d = c[:, x.shape[1]:2 * x.shape[1]]
+            finer = np.empty((len(c), 2 * x.shape[1]), dtype=np.complex128)
+            np.add(x, d, out=finer[:, 0::2])
+            np.subtract(x, d, out=finer[:, 1::2])
+            x = finer
+        x = np.fft.ifft(x, axis=1, norm="ortho")
+        return x[np.arange(len(x))[:, None], self.rows] / self.roots
+
+    def adjoint(self, q):
+        x = np.zeros((len(q), self.amp.size), dtype=np.complex128)
+        np.add.at(x, (np.arange(len(q))[:, None], self.rows), q / self.roots)  # repeats add
+        x = np.fft.fft(x, axis=1, norm="ortho")
+        out = np.empty_like(x)
+        while x.shape[1] > 1:  # fine to coarse: the details of each scale, then the scaling term
+            even, odd = x[:, 0::2], x[:, 1::2]
+            np.subtract(even, odd, out=out[:, even.shape[1]:x.shape[1]])
+            x = even + odd
+        out[:, :1] = x
+        out *= self.amp
+        return out
+
+    def keep(self, trials):
+        self.rows, self.roots = self.rows[trials], self.roots[trials]
 
 
-def _compact_rows(keep, *arrays):
-    """Move rows ``keep`` (ascending) of each array to its prefix, in place."""
-    for dst, src in enumerate(keep):
-        if dst != src:
-            for arr in arrays:
-                arr[dst] = arr[src]
-
-
-def _solve_stack(a, y, eta, w, norms, max_iters=50000, primal_tol=1e-7):
+def _solve_stack(op, y, eta, w, norms, max_iters=50000, primal_tol=1e-7):
     """:func:`solve_qcbp` on a stack of problems that share ``eta`` and ``w``.
 
-    ``a`` is a (B, m, n) complex128 stack (a real operator is passed as
-    its complex cast), ``y`` is (B, m) complex and ``norms`` holds the
-    B spectral norms ||A_b||, which set the steps.  Returns one
-    SolveResult per trial, each bit for bit that of solving the trial on
-    its own.  All trials take each step in one set of batched calls, and
-    each leaves the stack at its own convergence check; the rows of ``a``
-    and ``y`` are reordered in place as trials leave.
+    ``op`` holds the B operators: ``op.forward(z)`` maps (B, n) to (B, m),
+    ``op.adjoint(q)`` maps back, and ``op.keep(trials)`` drops every other
+    trial (a :class:`_DenseStack` reorders its matrices in place).  ``y`` is
+    (B, m) complex and ``norms`` holds the B spectral norms ||A_b||, which
+    set the steps.  Returns one SolveResult per trial, each bit for bit
+    that of solving the trial on its own.  All trials take each step in
+    one set of batched calls, and each leaves the stack at its own
+    convergence check.
     """
-    count, m, n = a.shape
+    (count, m), n = y.shape, len(w)
     results = [None] * count
     norms = np.asarray(norms, dtype=float)
     for b in np.flatnonzero(norms == 0.0):
@@ -167,8 +224,8 @@ def _solve_stack(a, y, eta, w, norms, max_iters=50000, primal_tol=1e-7):
     idx = np.flatnonzero(norms != 0.0)  # the trial of each row still iterating
     if not idx.size:
         return results
-    _compact_rows(idx, a, y)
-    a, y = a[:idx.size], y[:idx.size]
+    op.keep(idx)
+    y = y[idx]
     # sigma tau ||A||^2 = 1/1.02^2 < 1 for every primal weight omega
     step = 1.0 / (1.02 * norms[idx, None])  # steps and weights are columns
     omega = np.ones((idx.size, 1))
@@ -198,7 +255,7 @@ def _solve_stack(a, y, eta, w, norms, max_iters=50000, primal_tol=1e-7):
     # inf weight times 0 in the objective are expected
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, max_iters + 1):
-            u = q + sigma * _forward(a, zbar)
+            u = q + sigma * op.forward(zbar)
             if eta == 0.0:
                 proj = y
             else:
@@ -208,7 +265,7 @@ def _solve_stack(a, y, eta, w, norms, max_iters=50000, primal_tol=1e-7):
                 if not nd.all():  # d = 0 projects to y itself
                     proj[nd == 0] = y[nd == 0]
             q = u - sigma * proj
-            a_h_q = _adjoint(a, q)
+            a_h_q = op.adjoint(q)
             z_new = _soft_threshold(z - tau * a_h_q, thresh)
             zbar = 2.0 * z_new - z
             z = z_new
@@ -227,7 +284,7 @@ def _solve_stack(a, y, eta, w, norms, max_iters=50000, primal_tol=1e-7):
                 z_last, q_last = z, q
 
             if it % _CHECK_EVERY == 0 or it == max_iters:
-                residual = _row_norms(_forward(a, z) - y)
+                residual = _row_norms(op.forward(z) - y)
                 mag = np.abs(z)
                 objective = np.sum(np.where(mag == 0, 0.0, w * mag), axis=1)
                 # q / scale_q is dual-feasible; inf weights contribute 0
@@ -248,10 +305,9 @@ def _solve_stack(a, y, eta, w, norms, max_iters=50000, primal_tol=1e-7):
                 if it < max_iters and converged.any():
                     leave(np.flatnonzero(converged))
                     keep = np.flatnonzero(~converged)
-                    _compact_rows(keep, a, y)
-                    a, y = a[:keep.size], y[:keep.size]
-                    (idx, z, zbar, q, z_last, q_last, step, omega, tau, sigma, thresh,
-                     history) = (v[keep] for v in (idx, z, zbar, q, z_last, q_last, step,
+                    op.keep(keep)
+                    (idx, y, z, zbar, q, z_last, q_last, step, omega, tau, sigma, thresh,
+                     history) = (v[keep] for v in (idx, y, z, zbar, q, z_last, q_last, step,
                                                    omega, tau, sigma, thresh, history))
                     if not keep.size:
                         break
@@ -276,7 +332,7 @@ def solve_qcbp(problem, max_iters=50000, primal_tol=1e-7):
     flagged ``converged=False``.  Deterministic for fixed inputs.
     """
     a = np.asarray(problem.a, dtype=np.complex128)  # the solver's one dtype
-    return _solve_stack(a[None], problem.y[None], float(problem.eta), problem.w,
+    return _solve_stack(_DenseStack(a[None]), problem.y[None], float(problem.eta), problem.w,
                         [np.linalg.norm(problem.a, 2)], max_iters, primal_tol)[0]
 
 
@@ -323,17 +379,22 @@ class ExperimentResult:
     records: tuple
 
 
-def _run_recovery_trials(fill_stack, m_record, n, pattern, trials, seed, eta, radius,
-                         weighted, solver_opts, success_rtol, magnitude_model):
-    """Run the trials; ``fill_stack(stack, seeds)`` draws the A of each seed into
-    its slot and gives each ||A||, ``m_record`` is each trial's m and ``n`` the
-    operator's column count, which must be the pattern's N.
+def _stack_depth(trials, held):
+    """Trials a stack takes when each holds ``held`` complex entries: as many as fit
+    in ``_STACK_BYTES``, at least two, at most ``trials``."""
+    return min(_trial_count(trials), max(2, _STACK_BYTES // (16 * held)))
 
-    Every A is sum(m_record) x N, so one complex stack of at most
-    ``_STACK_BYTES`` of operator (at least two trials) is allocated before the
-    first draw; each slice of trials is filled into it (a real A is cast as it
-    is copied in), then draws its signals and noise from the trials' own
-    streams, and is solved together by :func:`_solve_stack`."""
+
+def _run_recovery_trials(fill_stack, depth, m_record, n, pattern, trials, seed, eta, radius,
+                         weighted, solver_opts, success_rtol, magnitude_model):
+    """Run the trials in stacks of ``depth``; ``fill_stack(seeds)`` draws the A of
+    each seed and gives the stack's operator (see :func:`_solve_stack`) and each
+    ||A||, ``m_record`` is each trial's m and ``n`` the operator's column count,
+    which must be the pattern's N.
+
+    Each slice of trials is drawn into one operator stack, then draws its
+    signals and noise from the trials' own streams (y is the stack's forward
+    of its signals), and is solved together by :func:`_solve_stack`."""
     trials = _trial_count(trials)
     ball_radius = float(radius) if radius is not None else float(eta)
     if not ball_radius >= 0:  # NaN fails this too, as in QcbpProblem
@@ -343,28 +404,23 @@ def _run_recovery_trials(fill_stack, m_record, n, pattern, trials, seed, eta, ra
          if weighted else np.ones(pattern.levels.n))
     if pattern.levels.n != n:
         raise ValueError(f"sparsity pattern has N = {pattern.levels.n}, the operator has N = {n}")
-    rows = sum(m_record)
-    depth = min(trials, max(2, _STACK_BYTES // (16 * rows * n)))
-    a_stack = np.empty((depth, rows, n), dtype=np.complex128)
-    y_stack = np.empty((depth, rows), dtype=np.complex128)
 
     records = []
     children = _as_seed_sequence(seed).spawn(trials)
     for start in range(0, trials, depth):
         streams = [child.spawn(3) for child in children[start:start + depth]]
-        norms = fill_stack(a_stack, [matrix_ss for matrix_ss, _, _ in streams])
-        signals = []  # the true vector of each trial in this stack
-        for slot, (_, x_ss, noise_ss) in enumerate(streams):
-            x = random_sparse_vector(pattern, np.random.default_rng(x_ss), magnitude_model)
-            y = a_stack[slot] @ x
-            if eta > 0:
+        op, norms = fill_stack([matrix_ss for matrix_ss, _, _ in streams])
+        signals = np.array([  # the true vector of each trial in this stack
+            random_sparse_vector(pattern, np.random.default_rng(x_ss), magnitude_model)
+            for _, x_ss, _ in streams])
+        y = op.forward(signals)
+        if eta > 0:
+            for slot, (_, _, noise_ss) in enumerate(streams):
                 rng_noise = np.random.default_rng(noise_ss)
-                direction = rng_noise.standard_normal(len(y)) + 1j * rng_noise.standard_normal(len(y))
-                y = y + direction * (eta / np.linalg.norm(direction))
-            y_stack[slot] = y
-            signals.append(x)
-        results = _solve_stack(a_stack[:len(signals)], y_stack[:len(signals)], ball_radius, w,
-                               norms=norms, **(solver_opts or {}))
+                direction = (rng_noise.standard_normal(y.shape[1])
+                             + 1j * rng_noise.standard_normal(y.shape[1]))
+                y[slot] += direction * (eta / np.linalg.norm(direction))
+        results = _solve_stack(op, y, ball_radius, w, norms=norms, **(solver_opts or {}))
         for x, result in zip(signals, results):
             metrics = recovery_metrics(x, result.xhat, pattern, eta=eta)
             xnorm = float(np.linalg.norm(x))
@@ -406,17 +462,36 @@ def exact_recovery_experiment(u, levels, m, r0, pattern, trials, seed, eta=0.0,
     each drawn scheme (:func:`~ripl_lab.sampling.measurement_norm`), which
     holds only when the rows of u are orthonormal.  This is not checked
     here; the CLI checks a matrix loaded from a file once per run.
+
+    Each stack's A is gathered from u into one dense stack of at most
+    512 KiB (at least two trials).  For Fourier--Haar column blocks whose
+    two trials' A would pass that cap, 32 sum(m) N > 512 KiB, the trials
+    run matrix-free instead: A is applied by the fast Haar transform and
+    an FFT (:class:`_FourierHaarStack`), no A or U is built, and one stack
+    takes as many trials as 512 KiB of complex iterates of length N.  Its
+    records agree with the dense path's within rounding (the same flags
+    and iteration counts on every tested run, errors within about 1e-13).
     """
     m = _check_counts(levels, m, r0)  # before the stack is sized by sum(m)
     u = u if isinstance(u, _FourierHaarBlocks) else np.asarray(u)
+    total, n = sum(m), u.shape[1]
+    if isinstance(u, _FourierHaarBlocks) and 32 * total * n > _STACK_BYTES:
+        # two trials' dense A would pass the cap: hold rows and divisors, one iterate a trial
+        depth, stack = _stack_depth(trials, n), None
+    else:  # one dense stack, allocated before the first draw and refilled by each slice
+        depth = _stack_depth(trials, total * n)
+        stack = np.empty((depth, total, n), dtype=np.complex128)
 
-    def fill_stack(stack, seeds):  # one pass over u's column blocks fills every slot
+    def fill_stack(seeds):
         schemes = [draw_scheme(levels, m, r0=r0, seed=ss) for ss in seeds]
-        _fill_measurements(stack, schemes, u)
-        return [measurement_norm(scheme) for scheme in schemes]
+        norms = [measurement_norm(scheme) for scheme in schemes]
+        if stack is None:
+            return _FourierHaarStack(u, schemes), norms
+        _fill_measurements(stack, schemes, u)  # one pass over u's column blocks fills every slot
+        return _DenseStack(stack[:len(seeds)]), norms
 
     return _run_recovery_trials(
-        fill_stack, list(m), u.shape[1],
+        fill_stack, depth, list(m), n,
         pattern, trials, seed, eta, radius, weighted, solver_opts,
         success_rtol, magnitude_model,
     )
@@ -432,15 +507,17 @@ def gaussian_recovery_experiment(n, m_total, pattern, trials, seed, eta=0.0,
     trial solves for the same signal vector, making the two directly
     comparable trial by trial.
     """
-    m_total = operator.index(m_total)
+    m_total, n = operator.index(m_total), operator.index(n)
+    stack = np.empty((_stack_depth(trials, m_total * n), m_total, n), dtype=np.complex128)
 
-    def fill_stack(stack, seeds):
+    def fill_stack(seeds):
+        a = stack[:len(seeds)]
         for slot, ss in enumerate(seeds):
-            stack[slot] = gaussian_matrix(m_total, n, np.random.default_rng(ss))
-        return [np.linalg.norm(a.real, 2) for a in stack[:len(seeds)]]  # each drawn real A
+            a[slot] = gaussian_matrix(m_total, n, np.random.default_rng(ss))  # cast as copied in
+        return _DenseStack(a), [np.linalg.norm(a_b.real, 2) for a_b in a]  # each drawn real A
 
     return _run_recovery_trials(
-        fill_stack, [m_total], operator.index(n),
+        fill_stack, len(stack), [m_total], n,
         pattern, trials, seed, eta, radius, weighted, solver_opts,
         success_rtol, magnitude_model,
     )

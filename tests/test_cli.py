@@ -1,11 +1,16 @@
+import importlib.util
 import json
+import re
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ripl_lab import LevelStructure, SparsityPattern, dft_matrix, save_matrix, support_blocks
+from ripl_lab import cli
 from ripl_lab.cli import main, write_json, write_table
 
 
@@ -389,6 +394,45 @@ def test_recover_unknown_allocation_key_fails_before_the_operator(
     err = capsys.readouterr().err
     assert f"error: unknown allocation option(s) {unknown}; allowed: mode, delta, eps, C" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, unknown", [
+    ("allocate", {"s": [2, 2, 2, 3, 4, 4], "c": 0.0002, "modes": ["haar-uniform"]}, ["c"]),
+    ("recover", {"N": 16, "s": [1, 1, 1, 1], "m": [2, 2, 4, 4], "seed": 1, "trial": 3,
+                 "Eta": 0.1}, ["Eta", "trial"]),
+    ("certify", {"N": 16, "s": [1, 1, 1, 1], "m": [2, 2, 4, 4], "seed": 1, "mc_trial": 9},
+     ["mc_trial"]),
+    ("coherence", {"operator": "dft", "N": 8, "levels": [0, 8]}, ["levels"]),
+    ("selftest", {"N": 16}, ["N"]),
+])
+def test_unknown_top_level_key_fails_before_the_command(
+        tmp_path, capsys, monkeypatch, command, config, unknown):
+    # "c" for "C" used to run allocate at the default C = 1.0 and record "C": 1.0
+    def no_command(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(f"ripl_lab.cli.cmd_{command}", no_command)
+    cfg = _write_config(tmp_path, "cfg.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    allowed = ", ".join(cli._CONFIG_KEYS[command])
+    assert f"error: unknown config key(s) {unknown}; allowed: {allowed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_documented_and_benchmark_configs_use_known_keys():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    configs = [(command, json.loads(block)) for command, block in re.findall(
+        r"^### (\w+)\n\n```json\n(.*?)```", readme, re.MULTILINE | re.DOTALL)]
+    assert [command for command, _ in configs] == ["coherence", "certify", "recover", "allocate"]
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs += [(wl.command, wl.config) for smoke in (False, True)
+                for wl in (workloads.make(name, smoke) for name in workloads.NAMES)]
+    for command, config in configs:
+        cli._known_keys(config, "config key", cli._CONFIG_KEYS[command])
 
 
 @pytest.mark.parametrize(

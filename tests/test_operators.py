@@ -168,6 +168,20 @@ def test_fourier_haar_blocks_equal_one_transform_bit_for_bit():
         assert np.array_equal(u.view(np.uint64), whole.view(np.uint64)), n
 
 
+def test_band_rows_keep_the_list_built_order():
+    # the band order as it was built before, from a Python list of frequencies
+    def listed(n):
+        freqs = [0, 1]
+        for k in range(1, n.bit_length() - 1):
+            freqs += range(-(2**k) + 1, -(2 ** (k - 1)) + 1)
+            freqs += range(2 ** (k - 1) + 1, 2**k + 1)
+        return np.mod(freqs, n)
+
+    for n in (2, 4, 16, 512, 4096):
+        got, want = _band_rows(n), listed(n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
 def test_fourier_haar_table_is_u_first_translates_bit_for_bit():
     for n in (16, 512):
         u, _ = fourier_haar_matrix(n)

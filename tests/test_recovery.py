@@ -15,7 +15,9 @@ from ripl_lab import (
     solve_qcbp,
 )
 from ripl_lab import recovery
+from ripl_lab.operators import _FourierHaarBlocks
 from ripl_lab.recovery import gaussian_recovery_experiment
+from ripl_lab.sampling import build_measurement, draw_scheme
 
 
 def _solve_alone(a, y, eta, w, max_iters=50000, primal_tol=1e-7):
@@ -352,7 +354,8 @@ def test_stack_matches_solving_each_trial_alone(real, eta, max_iters):
     a, y, w = _mixed_stack(real, eta)
     alone = [_solve_alone(a[b], y[b], eta, w, max_iters) for b in range(len(a))]
     norms = [np.linalg.norm(a_b, 2) for a_b in a]
-    stacked = recovery._solve_stack(a.copy(), y.copy(), eta, w, norms, max_iters=max_iters)
+    stacked = recovery._solve_stack(recovery._DenseStack(a.copy()), y.copy(), eta, w, norms,
+                                    max_iters=max_iters)
     for one, got in zip(alone, stacked):
         assert got.xhat.view(np.uint64).tolist() == one.xhat.view(np.uint64).tolist()
         assert ((got.iterations, got.converged, got.gap, got.residual, got.objective)
@@ -372,8 +375,8 @@ def test_real_operator_solves_as_its_complex_cast(eta):
     a, y, w = _mixed_stack(True, eta)
     for a_b, y_b in zip(a.real, y):
         got = solve_qcbp(QcbpProblem(a=a_b, y=y_b, eta=eta, w=w))
-        want, = recovery._solve_stack(a_b.astype(np.complex128)[None], y_b[None], eta, w,
-                                      [np.linalg.norm(a_b, 2)])
+        want, = recovery._solve_stack(recovery._DenseStack(a_b.astype(np.complex128)[None]),
+                                      y_b[None], eta, w, [np.linalg.norm(a_b, 2)])
         assert got.xhat.view(np.uint64).tolist() == want.xhat.view(np.uint64).tolist()
         assert ((got.iterations, got.converged, got.gap, got.residual, got.objective)
                 == (want.iterations, want.converged, want.gap, want.residual, want.objective))
@@ -420,3 +423,95 @@ def test_gaussian_experiment_rejects_a_pattern_of_another_n():
     pattern = SparsityPattern(LevelStructure((0, 4, 8)), (1, 1))
     with pytest.raises(ValueError, match="sparsity pattern has N = 8, the operator has N = 16"):
         gaussian_recovery_experiment(16, 6, pattern, 2, seed=1)
+
+
+def _fourier_haar_schemes(n, count, seed=0):
+    """``count`` schemes at N with r0 = 2, at least one with a repeated draw."""
+    lv = LevelStructure.dyadic(n.bit_length() - 1)
+    m = [2, 2] + [max(2, w // 2) for w in lv.widths[2:]]  # half of each band above r0
+    schemes = [draw_scheme(lv, m, r0=2, seed=seed + b) for b in range(count)]
+    assert any(len(set(d)) < len(d) for scheme in schemes for d in scheme.draws)
+    return schemes
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_fourier_haar_stack_matches_the_dense_measurement(n):
+    schemes = _fourier_haar_schemes(n, 3)
+    u = fourier_haar_matrix(n)[0]
+    dense = recovery._DenseStack(np.array([build_measurement(u, sc).a for sc in schemes]))
+    op = recovery._FourierHaarStack(_FourierHaarBlocks(n), schemes)
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    q = rng.standard_normal(dense.a.shape[:2]) + 1j * rng.standard_normal(dense.a.shape[:2])
+    for got, want in ((op.forward(z), dense.forward(z)), (op.adjoint(q), dense.adjoint(q))):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # <A z, q> = <z, A^H q>, trial by trial
+    lhs = np.sum(op.forward(z) * np.conj(q), axis=1)
+    rhs = np.sum(z * np.conj(op.adjoint(q)), axis=1)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
+
+
+def test_fourier_haar_stack_keeps_the_right_trials():
+    schemes = _fourier_haar_schemes(64, 4, seed=5)
+    blocks = _FourierHaarBlocks(64)
+    op = recovery._FourierHaarStack(blocks, schemes)
+    op.keep(np.array([1, 3]))
+    kept = recovery._FourierHaarStack(blocks, [schemes[1], schemes[3]])
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+    q = rng.standard_normal((2, op.rows.shape[1])) + 1j * rng.standard_normal((2, op.rows.shape[1]))
+    assert np.array_equal(op.forward(z), kept.forward(z))
+    assert np.array_equal(op.adjoint(q), kept.adjoint(q))
+
+
+def _stack_kinds(monkeypatch):
+    """Record the operator class of every stack the experiments solve."""
+    kinds, solve = [], recovery._solve_stack
+
+    def spy(op, *args, **kwargs):
+        kinds.append(type(op))
+        return solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(recovery, "_solve_stack", spy)
+    return kinds
+
+
+def test_matrix_free_experiment_matches_the_dense_one(monkeypatch):
+    # sum(m) * N = 65 * 256 > 16,384: two trials' dense A would pass the 512 KiB cap
+    lv = LevelStructure.dyadic(8)
+    m, pattern = (2, 2, 4, 8, 12, 16, 11, 10), SparsityPattern(lv, (1, 1, 1, 1, 2, 2, 3, 3))
+    kinds = _stack_kinds(monkeypatch)
+
+    def records(u):
+        return exact_recovery_experiment(
+            u, lv, m, 2, pattern, 3, seed=4, eta=0.01, radius=0.02, weighted=True,
+            magnitude_model="gaussian", success_rtol=0.05,
+            solver_opts={"max_iters": 5000}).records
+
+    free = records(_FourierHaarBlocks(256))
+    assert kinds == [recovery._FourierHaarStack]  # every trial in one stack
+    dense = records(fourier_haar_matrix(256)[0])
+    assert kinds[1:] == [recovery._DenseStack] * 2  # the oracle: dense stacks of two
+    assert any(rec["converged"] for rec in dense)
+    for got, want in zip(free, dense):
+        assert ((got["success"], got["converged"], got["iterations"])
+                == (want["success"], want["converged"], want["iterations"]))
+        assert got["rel_err"] == pytest.approx(want["rel_err"], rel=1e-12)
+    # matrix-free trials do not depend on the stack depth either: two a stack here
+    monkeypatch.setattr(recovery, "_STACK_BYTES", 2 * 16 * 256)
+    assert records(_FourierHaarBlocks(256)) == free
+    assert kinds[3:] == [recovery._FourierHaarStack] * 2
+
+
+def test_below_the_stack_budget_fourier_haar_stays_dense(monkeypatch):
+    # sum(m) * N = 64 * 256 = 16,384: two trials' dense A fill the 512 KiB cap exactly
+    def no_stack(*args):
+        raise AssertionError("a matrix-free stack was built")
+
+    monkeypatch.setattr(recovery, "_FourierHaarStack", no_stack)
+    kinds = _stack_kinds(monkeypatch)
+    lv = LevelStructure.dyadic(8)
+    pattern = SparsityPattern(lv, (1,) * 8)
+    exact_recovery_experiment(_FourierHaarBlocks(256), lv, (2, 2, 4, 8, 12, 16, 10, 10), 2,
+                              pattern, 3, seed=4, solver_opts={"max_iters": 200})
+    assert kinds == [recovery._DenseStack] * 2

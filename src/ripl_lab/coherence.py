@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levels import LevelStructure
-from .operators import _FourierHaarBlocks, fourier_haar_table
+from .operators import _FourierHaarBlocks, _as_source, fourier_haar_table
 
 __all__ = [
     "CoherenceProfile",
@@ -33,11 +33,6 @@ def global_coherence(u):
     return float(np.max(np.abs(u) ** 2))
 
 
-def _check_partition(u, levels, what):
-    if levels.n != u.shape[0]:
-        raise ValueError(f"{what} levels end at {levels.n}, matrix has {u.shape[0]} rows")
-
-
 def local_coherence(u, sampling, sparsity):
     """r x r matrix of block maxima of |U_ij|^2.
 
@@ -47,11 +42,7 @@ def local_coherence(u, sampling, sparsity):
     ``j.bit_length()``, so a sparsity level spans the table columns of its
     first and last Haar columns.
     """
-    u = u if isinstance(u, _FourierHaarBlocks) else np.asarray(u)
-    if len(u.shape) != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"local coherence needs a square matrix, got {u.shape}")
-    _check_partition(u, sampling, "sampling")
-    _check_partition(u, sparsity, "sparsity")
+    u = _as_source(_as_source(u, sampling.n, "sampling"), sparsity.n, "sparsity")
     bounds = list(zip(sparsity.boundaries[:-1], sparsity.boundaries[1:]))
     if isinstance(u, _FourierHaarBlocks):
         sq = fourier_haar_table(u.shape[0])

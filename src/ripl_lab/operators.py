@@ -1,14 +1,15 @@
 """Concrete isometries and their file formats.
 
 Provides the unitary DFT over the symmetric frequency range
-{-N/2+1, ..., N/2}, the orthonormal Haar wavelet basis with
-coarse-to-fine column ordering, the product of the band-reordered DFT
-with the Haar basis (the flagship coherent isometry whose rows group
-into dyadic frequency bands, inverse FFTs of 512 KiB column blocks, from
-which measurements gather rows without U; recovery past its dense stack
-budget reads only the blocks' transform-row order and applies each drawn
-A as a fast Haar transform and an FFT), its table of squared moduli
-per (row, Haar scale), read by coherence, and an i.i.d. Gaussian baseline.
+{-N/2+1, ..., N/2}, the orthonormal Haar wavelet basis H with
+coarse-to-fine column ordering, the band-reordered DFT times H (the
+flagship coherent isometry U, whose rows group into dyadic frequency
+bands), its table of squared moduli per (row, Haar scale), and an i.i.d.
+Gaussian baseline.  H is written down once, as an amplitude vector and
+two O(N) passes: the analysis H^T x builds H row by row; the synthesis
+H c, with an inverse FFT, builds U's 512 KiB column blocks (measurements
+gather rows from them, never all of U) and the table; and the two apply
+each drawn A in matrix-free recovery.
 
 Matrices serialize to a small binary container (two little-endian uint64
 dims followed by row-major float64 interleaved re/im).
@@ -60,17 +61,39 @@ def dft_matrix(n):
     return np.exp(2j * np.pi * np.outer(freqs, j) / n) / np.sqrt(n)
 
 
-def _haar_columns(n, cols):
-    """Haar columns ``cols`` (ints) as float64 (N, len(cols)), for H, U and |U|^2: column 0 is
-    1/sqrt(N); column 2^s + t is sqrt(2^s/N), then its negation, on [tN/2^s, (t+1)N/2^s)."""
-    h = np.zeros((n, len(cols)))
-    for k, j in enumerate(cols):
-        s = max(j.bit_length() - 1, 0)  # the scale, 2^s <= j < 2^(s+1); column 0 takes s = t = 0
-        lo, half = j % 2**s * (n >> s), n >> (s + 1)  # the support is [lo, lo + 2 half)
-        amp = np.sqrt(2.0**s / n) if j else 1.0 / np.sqrt(n)
-        h[lo:lo + half, k] = amp
-        h[lo + half:lo + 2 * half, k] = -amp if j else amp  # the scaling column is constant
-    return h
+def _haar_amplitudes(n):
+    """Haar column amplitudes, coarse to fine: 1/sqrt(N), then sqrt(2^s/N) at each scale s."""
+    scales = 2 ** np.arange(n.bit_length() - 1)
+    return np.concatenate(([1.0 / np.sqrt(n)], np.repeat(np.sqrt(scales / n), scales)))
+
+
+def _fourier_haar(c, amp):
+    """ifft(H c) of each row c of ``c`` in transform-row order (w mod N): ``amp`` scales c, then
+    r O(N) passes, coarse to fine, write x + d and x - d into the even and odd slots of the next
+    scale (the synthesis H c), and the orthonormal inverse FFT follows."""
+    c = c * amp
+    x = c[:, :1]
+    while x.shape[1] < c.shape[1]:
+        d = c[:, x.shape[1]:2 * x.shape[1]]  # the details of the next scale
+        finer = np.empty((len(c), 2 * x.shape[1]), dtype=c.dtype)
+        np.add(x, d, out=finer[:, 0::2])
+        np.subtract(x, d, out=finer[:, 1::2])
+        x = finer
+    del c, d  # the scaled coefficients, freed before the FFT's complex copies
+    return np.fft.ifft(x, axis=1, norm="ortho")
+
+
+def _haar_analysis(x, amp):
+    """H^T x for each row x of ``x``, the synthesis reversed: r O(N) passes, fine to coarse, keep
+    the details x_even - x_odd of each scale and go on with x_even + x_odd, then ``amp`` scales."""
+    out = np.empty_like(x)
+    while x.shape[1] > 1:
+        even, odd = x[:, 0::2], x[:, 1::2]
+        np.subtract(even, odd, out=out[:, even.shape[1]:x.shape[1]])
+        x = even + odd
+    out[:, :1] = x
+    out *= amp
+    return out
 
 
 def haar_matrix(n):
@@ -81,7 +104,7 @@ def haar_matrix(n):
     hold the wavelets at scale k-1 ordered by translate, left to right.
     """
     n = _require_pow2(n)
-    return _haar_columns(n, range(n))
+    return _haar_analysis(np.eye(n), _haar_amplitudes(n))  # row i of H is H^T e_i
 
 
 def _band_rows(n):
@@ -93,32 +116,41 @@ def _band_rows(n):
 
 
 class _FourierHaarBlocks:
-    """U of :func:`fourier_haar_matrix` (its ``shape`` and ``dtype``) as 512 KiB column blocks:
-    iterating yields (start, block), the inverse FFT of Haar columns start.. in transform-row
-    order, so U[i, start + j] is block[rows[i], j] and a caller gathers only the rows it needs."""
+    """U of :func:`fourier_haar_matrix` (``shape``, ``dtype``) as 512 KiB column blocks: each is
+    (start, the inverse FFT of Haar columns start..) in transform-row order, so U[i, start + j]
+    is block[rows[i], j] and a caller gathers only the rows it needs; ``amp``: H's amplitudes."""
 
     def __init__(self, n):
         n = _require_pow2(n)
         self.shape, self.dtype, self.rows = (n, n), np.dtype(np.complex128), _band_rows(n)
+        self.amp = _haar_amplitudes(n)
 
     def __iter__(self):
         n = self.shape[0]
         width = max(1, _STACK_BYTES // (16 * n))  # columns per block: at most 512 KiB of U
-        for start in range(0, n, width):
-            h = _haar_columns(n, range(start, min(start + width, n)))
-            yield start, np.fft.ifft(h, axis=0, norm="ortho")
+        for start in range(0, n, width):  # the transform of the block's rows of the identity
+            yield start, _fourier_haar(np.eye(min(width, n - start), n, start), self.amp).T
+
+
+def _as_source(u, n, levels="scheme"):
+    """``u``, Fourier--Haar U's column blocks or an array, if it is square with N = ``n``."""
+    u = u if isinstance(u, _FourierHaarBlocks) else np.asarray(u)
+    if len(u.shape) != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"expected a square source matrix, got {u.shape}")
+    if u.shape[0] != n:
+        raise ValueError(f"{levels} levels end at {n}, matrix is {u.shape[0]} x {u.shape[1]}")
+    return u
 
 
 def fourier_haar_matrix(n):
     """Band-reordered DFT times the Haar basis, with its sampling levels.
 
-    Returns (U, levels).  U is unitary, every row of :class:`_FourierHaarBlocks`,
-    the orthonormal inverse FFTs of its Haar columns: transform row (w mod N)
-    is the :func:`dft_matrix` row of frequency w.  The rows run over the
-    dyadic frequency bands W_1 = {0, 1}, W_{k+1} = {-2^k+1..-2^{k-1}}
-    union {2^{k-1}+1..2^k}, ascending within each band (a byte-stable
-    order that affects no block maximum), so the k-th row block is band
-    W_k and ``levels`` is ``LevelStructure.dyadic(r)``, boundaries 2^k.
+    Returns (U, levels), U gathered from :class:`_FourierHaarBlocks`, whose
+    transform row (w mod N) is the :func:`dft_matrix` row of frequency w.
+    The rows run over the dyadic frequency bands W_1 = {0, 1}, W_{k+1} =
+    {-2^k+1..-2^{k-1}} union {2^{k-1}+1..2^k}, ascending within each band
+    (a byte-stable order that affects no block maximum), so the k-th row
+    block is band W_k and ``levels`` is ``LevelStructure.dyadic(r)``.
     """
     blocks = _FourierHaarBlocks(n)
     u = np.empty(blocks.shape, dtype=blocks.dtype)
@@ -137,8 +169,8 @@ def fourier_haar_table(n):
     column ``j.bit_length()``.
     """
     n = _require_pow2(n)
-    h = _haar_columns(n, [0] + [2**s for s in range(n.bit_length() - 1)])  # first translates
-    return np.abs(np.fft.ifft(h, axis=0, norm="ortho")[_band_rows(n)]) ** 2
+    first = np.equal.outer([0] + [2**s for s in range(n.bit_length() - 1)], np.arange(n))
+    return np.abs(_fourier_haar(first, _haar_amplitudes(n)).T[_band_rows(n)]) ** 2
 
 
 def gaussian_matrix(m, n, rng):

@@ -14,11 +14,11 @@ so the step condition sigma tau ||A||^2 < 1 holds for every omega.  The
 weight starts at 1 and every 100 iterations moves, in log space, a
 fraction theta = 0.2 of the way to ||dq|| / ||dz||, the ratio of the dual
 and primal moves since the last update (the adaptive primal weight of
-PDLP, Applegate et al. 2021), which balances iterates of unequal scale.
-Optimality is certified
-with a duality-gap estimate: a rescaled copy of the dual iterate is
-always dual-feasible, so objective - dual value bounds the suboptimality
-from above.
+PDLP, Applegate et al. 2021), which balances iterates of unequal scale
+(a move that would leave omega non-finite or <= 0, as a diverging solve
+can, is skipped).  Optimality is certified with a duality-gap estimate:
+a rescaled copy of the dual iterate is always dual-feasible, so
+objective - dual value bounds the suboptimality from above.
 
 Also provides error metrics against the level-sparse approximation
 bounds (diagnostic ratios: the bounds hold up to unspecified constants)
@@ -29,12 +29,9 @@ pair, and the harness solves the trials of a run together in such stacks:
 every trial takes its step in one set of batched numpy calls and leaves
 the stack at its own convergence check, and every result is bit for bit
 that of a solve on its own (:func:`solve_qcbp` is a stack of one on the
-same loop).  A stack holds dense operators, at most 512 KiB of them (at
-least two trials), sized before the first draw; or, for Fourier--Haar U
-once two trials' A would pass that cap (sum(m) N > 16,384), it is
-matrix-free: A z = ifft(H z)[drawn rows] / sqrt(p_k), with H z the fast
-Haar synthesis, so it holds only each trial's drawn rows and takes as
-many trials as 512 KiB of complex iterates.
+same loop).  A stack holds at most 512 KiB of dense operators (at least
+two trials); past that, Fourier--Haar A is matrix-free, the Haar passes of
+:mod:`~ripl_lab.operators` and an FFT, equal to the dense A on unit vectors.
 """
 from __future__ import annotations
 
@@ -45,10 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levels import _STACK_BYTES, best_approx_in_levels, random_sparse_vector
-from .operators import _FourierHaarBlocks, gaussian_matrix
+from .operators import (_FourierHaarBlocks, _as_source, _fourier_haar, _haar_analysis,
+                        gaussian_matrix)
 from .sampling import (
     _as_seed_sequence,
     _check_counts,
+    _drawn_rows,
     _fill_measurements,
     _trial_count,
     draw_scheme,
@@ -157,45 +156,22 @@ class _DenseStack:
 
 class _FourierHaarStack:
     """The A of each trial's Fourier--Haar scheme, never built: U = P F H, so
-    A z = ifft(H z)[rows] / sqrt(p_k) and A^H q = H^T fft(the scatter-add of q / sqrt(p_k)).
-
-    Holds each trial's transform rows ``u.rows[draws - 1]`` and their divisors sqrt(p_k).
-    H z is r Haar synthesis passes over the amplitude-scaled z (x + d and x - d into the even
-    and odd slots), H^T x their r analysis passes, each O(N) per trial."""
+    A z = ifft(H z)[rows] / sqrt(p_k) and A^H q = H^T fft(the scatter-add of q / sqrt(p_k)),
+    H z and H^T x the Haar passes of :mod:`~ripl_lab.operators`.  Holds each trial's transform
+    rows ``u.rows[draws - 1]``, their divisors sqrt(p_k) and ``u.amp``, H's amplitudes."""
 
     def __init__(self, u, schemes):
-        self.rows = np.array([u.rows[np.concatenate(scheme.draws) - 1] for scheme in schemes])
-        self.roots = np.array([np.repeat(np.sqrt(scheme.densities()), scheme.m)
-                               for scheme in schemes])
-        n = u.shape[1]
-        scales = 2 ** np.arange(n.bit_length() - 1)
-        # Haar column 0 has amplitude sqrt(1/N), and each of the 2^s columns of scale s sqrt(2^s/N)
-        self.amp = np.sqrt(np.concatenate(([1.0], np.repeat(scales, scales))) / n)
+        self.rows, self.roots = map(np.array, zip(*(_drawn_rows(sc, u.rows) for sc in schemes)))
+        self.amp = u.amp
 
     def forward(self, z):
-        c = z * self.amp
-        x = c[:, :1]
-        while x.shape[1] < c.shape[1]:  # coarse to fine: the details of the next scale
-            d = c[:, x.shape[1]:2 * x.shape[1]]
-            finer = np.empty((len(c), 2 * x.shape[1]), dtype=np.complex128)
-            np.add(x, d, out=finer[:, 0::2])
-            np.subtract(x, d, out=finer[:, 1::2])
-            x = finer
-        x = np.fft.ifft(x, axis=1, norm="ortho")
+        x = _fourier_haar(z, self.amp)
         return x[np.arange(len(x))[:, None], self.rows] / self.roots
 
     def adjoint(self, q):
         x = np.zeros((len(q), self.amp.size), dtype=np.complex128)
         np.add.at(x, (np.arange(len(q))[:, None], self.rows), q / self.roots)  # repeats add
-        x = np.fft.fft(x, axis=1, norm="ortho")
-        out = np.empty_like(x)
-        while x.shape[1] > 1:  # fine to coarse: the details of each scale, then the scaling term
-            even, odd = x[:, 0::2], x[:, 1::2]
-            np.subtract(even, odd, out=out[:, even.shape[1]:x.shape[1]])
-            x = even + odd
-        out[:, :1] = x
-        out *= self.amp
-        return out
+        return _haar_analysis(np.fft.fft(x, axis=1, norm="ortho"), self.amp)
 
     def keep(self, trials):
         self.rows, self.roots = self.rows[trials], self.roots[trials]
@@ -276,9 +252,13 @@ def _solve_stack(op, y, eta, w, norms, max_iters=50000, primal_tol=1e-7):
                 # math per trial: vectorised np.exp and np.log round a few
                 # values in a thousand differently
                 for b, (dz, dq) in enumerate(zip(dzs, dqs)):
-                    if dz > 0.0 and dq > 0.0:
-                        omega[b, 0] = math.exp(_WEIGHT_SMOOTHING * math.log(dq / dz)
-                                               + (1.0 - _WEIGHT_SMOOTHING) * math.log(omega[b, 0]))
+                    try:
+                        new = math.exp(_WEIGHT_SMOOTHING * math.log(dq / dz)
+                                       + (1.0 - _WEIGHT_SMOOTHING) * math.log(omega[b, 0]))
+                    except (ZeroDivisionError, ValueError, OverflowError):  # dz, dq = 0; overflow
+                        continue
+                    if 0.0 < new < math.inf:  # a diverging solve can give 0, inf or nan
+                        omega[b, 0] = new
                 tau, sigma = step / omega, step * omega
                 thresh = tau * w
                 z_last, q_last = z, q
@@ -322,7 +302,8 @@ def solve_qcbp(problem, max_iters=50000, primal_tol=1e-7):
     omega/(1.02 ||A||).  The primal weight omega starts at 1; every 100
     iterations log omega takes 0.2 of a step toward
     log(||dq|| / ||dz||), with dq and dz the dual and primal changes
-    since the last update (skipped when either is zero).
+    since the last update (skipped when either is zero, or when the step
+    would leave omega non-finite or <= 0, as a diverging solve can).
 
     Every 25 iterations (and at the cap) the solver checks convergence:
     feasibility ``||A z - y|| <= eta + 1e-9``, a relative duality-gap
@@ -465,15 +446,14 @@ def exact_recovery_experiment(u, levels, m, r0, pattern, trials, seed, eta=0.0,
 
     Each stack's A is gathered from u into one dense stack of at most
     512 KiB (at least two trials).  For Fourier--Haar column blocks whose
-    two trials' A would pass that cap, 32 sum(m) N > 512 KiB, the trials
-    run matrix-free instead: A is applied by the fast Haar transform and
-    an FFT (:class:`_FourierHaarStack`), no A or U is built, and one stack
-    takes as many trials as 512 KiB of complex iterates of length N.  Its
-    records agree with the dense path's within rounding (the same flags
-    and iteration counts on every tested run, errors within about 1e-13).
+    two trials' A would pass that cap, 32 sum(m) N > 512 KiB, one stack of
+    as many trials as 512 KiB of length-N iterates runs matrix-free
+    (:class:`_FourierHaarStack`): its A equals the dense one on unit
+    vectors bit for bit, and its records agree with the dense path's within
+    rounding (the same flags and iteration counts on every tested run).
     """
     m = _check_counts(levels, m, r0)  # before the stack is sized by sum(m)
-    u = u if isinstance(u, _FourierHaarBlocks) else np.asarray(u)
+    u = _as_source(u, levels.n)  # before the stack is chosen: both kinds check u alike
     total, n = sum(m), u.shape[1]
     if isinstance(u, _FourierHaarBlocks) and 32 * total * n > _STACK_BYTES:
         # two trials' dense A would pass the cap: hold rows and divisors, one iterate a trial

@@ -38,7 +38,7 @@ import numpy as np
 
 from .coherence import CoherenceProfile
 from .levels import LevelError, LevelStructure, SparsityPattern
-from .operators import _FourierHaarBlocks
+from .operators import _FourierHaarBlocks, _as_source
 
 __all__ = [
     "SamplingScheme",
@@ -204,30 +204,26 @@ class MeasurementOperator:
     k_factor: float
 
 
+def _drawn_rows(scheme, rows):
+    """The source row ``rows[t - 1]`` of each draw t, level by level, and its divisor sqrt(p_k)."""
+    return rows[np.concatenate(scheme.draws) - 1], np.repeat(np.sqrt(scheme.densities()), scheme.m)
+
+
 def _fill_measurements(outs, schemes, u):
-    """Gather and scale each scheme's rows of ``u``, a square array (one block) or Fourier--Haar
-    U's column blocks, straight into its ``out``, in one pass over the blocks."""
-    n = schemes[0].levels.n
-    if len(u.shape) != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square source matrix, got {u.shape}")
-    if u.shape[0] != n:
-        raise ValueError(f"scheme levels end at {n}, matrix is {u.shape[0]} x {u.shape[1]}")
-    blocks, rows = (u, u.rows) if isinstance(u, _FourierHaarBlocks) else ([(0, u)], np.arange(n))
-    picks = [[(rows[np.asarray(dk, dtype=np.intp) - 1], math.sqrt(pk))
-              for dk, pk in zip(scheme.draws, scheme.densities())] for scheme in schemes]
+    """Gather and scale each scheme's rows of ``u``, a square array or Fourier--Haar U's column
+    blocks, straight into its ``out``, in one pass over the blocks."""
+    blocks, rows = ((u, u.rows) if isinstance(u, _FourierHaarBlocks)
+                    else ([(0, u)], np.arange(len(u))))
+    picks = [_drawn_rows(scheme, rows) for scheme in schemes]
     for start, block in blocks:
-        cols = slice(start, start + block.shape[1])
-        for out, scheme_picks in zip(outs, picks):
-            row = 0
-            for idx, root_p in scheme_picks:
-                np.divide(block[idx], root_p, out=out[row:row + len(idx), cols])
-                row += len(idx)
+        for out, (idx, roots) in zip(outs, picks):
+            np.divide(block[idx], roots[:, None], out=out[:, start:start + block.shape[1]])
 
 
 def build_measurement(u, scheme):
     """Assemble the scaled measurement matrix from an isometry and a scheme; from
     Fourier--Haar U's column blocks only the drawn rows are computed, bit for bit."""
-    u = u if isinstance(u, _FourierHaarBlocks) else np.asarray(u)
+    u = _as_source(u, scheme.levels.n)
     a = np.empty((sum(scheme.m), scheme.levels.n), dtype=np.result_type(u.dtype, 1.0))
     _fill_measurements([a], [scheme], u)
     return MeasurementOperator(a=a, k_factor=k_factor(scheme.levels, scheme.m))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from ripl_lab import (
     matrix_content_hash,
     save_matrix,
 )
-from ripl_lab.operators import _band_rows
+from ripl_lab.operators import _FourierHaarBlocks, _band_rows
 
 POW2 = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
@@ -187,6 +188,21 @@ def test_fourier_haar_table_is_u_first_translates_bit_for_bit():
         u, _ = fourier_haar_matrix(n)
         first = np.abs(u[:, [0] + [2**s for s in range(n.bit_length() - 1)]]) ** 2
         assert np.array_equal(fourier_haar_table(n).view(np.uint64), first.view(np.uint64)), n
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fourier_haar_table(4096),
+    lambda: [start for start, _ in _FourierHaarBlocks(4096)],  # one full pass over the blocks
+], ids=["table", "blocks"])
+def test_fourier_haar_columns_hold_no_n_by_n_temporary(build):
+    # one float64 N x N temporary at N = 4096 would take 128 MB
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_gaussian_column_norms_and_determinism():

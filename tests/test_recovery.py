@@ -451,6 +451,18 @@ def test_fourier_haar_stack_matches_the_dense_measurement(n):
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
 
 
+@pytest.mark.parametrize("n", [8, 32, 64, 512])
+def test_fourier_haar_stack_on_unit_vectors_is_the_dense_measurement_bit_for_bit(n):
+    # the forward of e_j is column j of the dense A: the same amplitudes, passes and FFT
+    lv = LevelStructure.dyadic(n.bit_length() - 1)
+    scheme = draw_scheme(lv, [2, 2] + list(lv.widths[2:]), r0=2, seed=1)
+    assert any(len(set(d)) < len(d) for d in scheme.draws)  # a repeated draw
+    blocks = _FourierHaarBlocks(n)
+    got = recovery._FourierHaarStack(blocks, [scheme]).forward(np.eye(n, dtype=complex)).T
+    want = build_measurement(blocks, scheme).a
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
+
+
 def test_fourier_haar_stack_keeps_the_right_trials():
     schemes = _fourier_haar_schemes(64, 4, seed=5)
     blocks = _FourierHaarBlocks(64)
@@ -501,6 +513,39 @@ def test_matrix_free_experiment_matches_the_dense_one(monkeypatch):
     monkeypatch.setattr(recovery, "_STACK_BYTES", 2 * 16 * 256)
     assert records(_FourierHaarBlocks(256)) == free
     assert kinds[3:] == [recovery._FourierHaarStack] * 2
+
+
+@pytest.mark.parametrize("source", ["blocks", "dense"])
+def test_both_stack_kinds_check_the_sampling_levels_against_u(source):
+    # sum(m) * N = 242 * 512 would run matrix-free from the blocks; the levels end at 256
+    u = _FourierHaarBlocks(512) if source == "blocks" else fourier_haar_matrix(512)[0]
+    pattern = SparsityPattern(LevelStructure.dyadic(9), (1,) * 9)
+    with pytest.raises(ValueError, match="scheme levels end at 256, matrix is 512 x 512"):
+        exact_recovery_experiment(u, LevelStructure.dyadic(8), (2, 2, 4, 8, 16, 32, 64, 64), 2,
+                                  pattern, 2, 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging iterates overflow
+@pytest.mark.parametrize("seed", [1, 3])
+def test_a_diverging_solve_returns_unconverged_trials_at_the_cap(monkeypatch, seed):
+    # a wrong adjoint (the Haar details negated) makes PDHG diverge: the primal-weight update
+    # must keep omega finite and > 0, not raise, and every trial runs to the cap
+    adjoint = recovery._FourierHaarStack.adjoint
+
+    def flipped(self, q):
+        out = adjoint(self, q)
+        out[:, 1:] *= -1
+        return out
+
+    monkeypatch.setattr(recovery._FourierHaarStack, "adjoint", flipped)
+    lv = LevelStructure.dyadic(9)  # the recover-fh512-noisy benchmark config
+    m = (2, 2, 4, 8, 12, 16, 24, 32, 40)
+    radius = 0.01 * math.sqrt(max(w / mk for w, mk in zip(lv.widths, m)))
+    records = exact_recovery_experiment(
+        _FourierHaarBlocks(512), lv, m, 2, SparsityPattern(lv, (1, 1, 1, 2, 2, 3, 4, 5, 6)), 8,
+        seed, eta=0.01, radius=radius, weighted=True, magnitude_model="gaussian",
+        success_rtol=0.05, solver_opts={"max_iters": 400}).records
+    assert [(rec["converged"], rec["iterations"]) for rec in records] == [(False, 400)] * 8
 
 
 def test_below_the_stack_budget_fourier_haar_stays_dense(monkeypatch):

@@ -5,12 +5,14 @@
 PARENT and CHANGE are the roots of two checkouts of this repository.  The
 configs are the JSON config of each command section of CHANGE's README,
 the four benchmark workload configs of CHANGE's ``bench/workloads.py``
-(imported, not changed), four more certify configs: ``certify-fh32``
-with its per-support table, and three past their enumeration budget, which
+(imported, not changed), five more certify configs: ``certify-fh32``
+with its per-support table, and four past their enumeration budget, which
 take the Monte-Carlo fallback (one at N = 512, whose measurement matrix is
-gathered from eight column blocks of U), two ``coherence`` configs of
-dense operators, ``dft`` at N = 64 on custom levels and ``gaussian`` at
-N = 32, drawn from the run's seed, and a noisy ``recover`` at N = 1024.
+gathered from eight column blocks of U, and one on ``haar`` at N = 32 on
+custom levels, where the sign of a column shows); three ``coherence``
+configs of dense operators, ``dft`` at N = 64 and ``haar`` at N = 32 on
+custom levels and ``gaussian`` at N = 32, drawn from the run's seed; and
+a noisy ``recover`` at N = 1024.
 Each config runs at seeds 1-3 in csv and json, once per checkout, with
 ``python -m ripl_lab.cli`` importing the package from that checkout's
 ``src/``.  Every run prints ``identical``, ``within-tol``, ``differs``
@@ -61,24 +63,31 @@ def workload_configs(root):
 
 
 def certify_configs(workloads):
-    """(name, command, config) of ``certify-fh32`` with its per-support table and
-    of three certify runs that fall back to Monte-Carlo."""
+    """(name, command, config) of ``certify-fh32`` with its per-support table, of
+    four certify runs that fall back to Monte-Carlo, one of them on the Haar basis."""
     fh32 = next(config for name, _, config in workloads if name == "certify-fh32")
     dft64 = {"operator": "dft", "N": 64, "m": [20], "s": [3], "max_supports": 10,
              "mc_trials": 300}
     fh512 = {"operator": "fourier-haar", "N": 512, "m": [2, 2, 4, 8, 12, 16, 24, 32, 40],
              "r0": 2, "s": [1, 1, 1, 1, 1, 1, 1, 1, 1], "mc_trials": 200}
+    haar32 = {"operator": "haar", "N": 32, "sampling_boundaries": [0, 4, 16, 32],
+              "sparsity_boundaries": [0, 8, 32], "m": [4, 6, 8], "r0": 1, "s": [1, 1],
+              "max_supports": 1000, "mc_trials": 300}
     return [("certify-fh32-per-support", "certify", dict(fh32, per_support_csv=True)),
             ("mc-certify-fh32", "certify", dict(fh32, max_supports=1000, mc_trials=500)),
             ("mc-certify-dft64", "certify", dft64),
-            ("mc-certify-fh512", "certify", fh512)]
+            ("mc-certify-fh512", "certify", fh512),
+            ("mc-certify-haar32-custom", "certify", haar32)]
 
 
 def coherence_configs():
-    """(name, command, config) of two ``coherence`` runs that take U as a dense matrix."""
+    """(name, command, config) of three ``coherence`` runs that take U as a dense matrix."""
     dft64 = {"operator": "dft", "N": 64, "sampling_boundaries": [0, 3, 20, 64],
              "sparsity_boundaries": [0, 1, 9, 33, 40, 64]}
+    haar32 = {"operator": "haar", "N": 32, "sampling_boundaries": [0, 2, 8, 32],
+              "sparsity_boundaries": [0, 1, 4, 16, 32]}
     return [("coherence-dft64-custom", "coherence", dft64),
+            ("coherence-haar32-custom", "coherence", haar32),
             ("coherence-gaussian32", "coherence", {"operator": "gaussian", "N": 32})]
 
 
